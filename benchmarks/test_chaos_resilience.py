@@ -16,7 +16,9 @@ from dataclasses import replace
 import pytest
 
 from benchmarks.conftest import emit
-from repro.faults import default_chaos_scenario, run_chaos
+from repro.faults import default_chaos_scenario
+from repro.faults.cli import fault_free
+from repro.serve import run_fleet
 from repro.system import table_to_text
 
 DROP_RATES = (0.0, 0.05, 0.10, 0.20)
@@ -37,13 +39,18 @@ def test_degradation_stays_graceful_under_fault_pressure(benchmark):
     base = default_chaos_scenario(seed=0)
 
     def sweep():
-        baseline = run_chaos(base.fault_free())
+        baseline = run_fleet(fault_free(base))
         rows = []
         for rate in DROP_RATES:
+            faults = base.faults
             config = replace(
-                base, input_faults=replace(base.input_faults, frame_drop_rate=rate)
+                base,
+                faults=replace(
+                    faults,
+                    input_faults=replace(faults.input_faults, frame_drop_rate=rate),
+                ),
             )
-            rows.append((rate, config, run_chaos(config)))
+            rows.append((rate, config, run_fleet(config)))
         return baseline, rows
 
     baseline, rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
@@ -89,5 +96,5 @@ def test_degradation_stays_graceful_under_fault_pressure(benchmark):
     assert any(r.faults.batch_failures > 0 for _, _, r in rows)
 
     # Same seed, same telemetry — the resilience story is reproducible.
-    again = run_chaos(rows[-1][1])
+    again = run_fleet(rows[-1][1])
     assert again.faults == rows[-1][2].faults

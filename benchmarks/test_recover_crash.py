@@ -24,9 +24,8 @@ import pytest
 
 from benchmarks.conftest import emit
 from repro.faults import ProcessKill, SimulatedCrash, default_chaos_scenario
-from repro.faults.runtime import ChaosRuntime
 from repro.recover import fleet_report_bytes, restore_runtime, resume, run_with_checkpoints
-from repro.serve import ServeConfig, ServeRuntime
+from repro.serve import FleetConfig, FleetRuntime, ServeConfig
 from repro.system import table_to_text
 
 #: Same predict-heavy regime as the serve-scaling/obs benches.
@@ -42,14 +41,19 @@ CONFIG = ServeConfig(
 CHECKPOINT_EVERY = 1000
 
 
+def serve_runtime(config: ServeConfig) -> FleetRuntime:
+    """The one-shard fleet that ``python -m repro serve`` runs."""
+    return FleetRuntime(FleetConfig(serve=config, n_shards=1))
+
+
 def _total_events() -> int:
-    runtime = ServeRuntime(CONFIG)
+    runtime = serve_runtime(CONFIG)
     runtime.run()
     return runtime.events_processed
 
 
 def _crash_and_recover(directory, kill_at: int):
-    runtime = ServeRuntime(CONFIG)
+    runtime = serve_runtime(CONFIG)
     with pytest.raises(SimulatedCrash):
         run_with_checkpoints(
             runtime, directory, every=CHECKPOINT_EVERY,
@@ -81,7 +85,7 @@ def test_crash_recovery_is_bit_identical_at_three_kill_points(
         "mid": total // 2,
         "late": total - 2,
     }
-    baseline = ServeRuntime(CONFIG).run()
+    baseline = serve_runtime(CONFIG).run()
     baseline_bytes = fleet_report_bytes(baseline)
 
     def run_all():
@@ -121,14 +125,14 @@ def test_chaos_crash_recovery_is_bit_identical(benchmark, tmp_path):
     chaos = replace(
         chaos, serve=replace(chaos.serve, n_sessions=16, duration_s=1.0)
     )
-    baseline_bytes = fleet_report_bytes(ChaosRuntime(chaos).run())
+    baseline_bytes = fleet_report_bytes(FleetRuntime(chaos).run())
 
-    probe = ChaosRuntime(chaos)
+    probe = FleetRuntime(chaos)
     probe.run()
     kill_at = probe.events_processed // 2
 
     def crash_and_resume():
-        runtime = ChaosRuntime(chaos)
+        runtime = FleetRuntime(chaos)
         with pytest.raises(SimulatedCrash):
             run_with_checkpoints(
                 runtime, tmp_path, every=300, kill=ProcessKill(at_event=kill_at)
@@ -147,16 +151,16 @@ def test_chaos_crash_recovery_is_bit_identical(benchmark, tmp_path):
 @pytest.mark.benchmark(group="recover")
 def test_checkpointing_overhead(benchmark, tmp_path):
     """0% simulated-goodput overhead (exact) + bounded wall overhead."""
-    plain = ServeRuntime(CONFIG).run()
+    plain = serve_runtime(CONFIG).run()
 
     def durable():
         return run_with_checkpoints(
-            ServeRuntime(CONFIG), tmp_path, every=CHECKPOINT_EVERY
+            serve_runtime(CONFIG), tmp_path, every=CHECKPOINT_EVERY
         )
 
     durable_report = benchmark.pedantic(durable, rounds=1, iterations=1)
 
-    base_s = _best_of(lambda: ServeRuntime(CONFIG).run())
+    base_s = _best_of(lambda: serve_runtime(CONFIG).run())
     durable_s = _best_of(durable)
     ratio = durable_s / base_s
 

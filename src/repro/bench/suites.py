@@ -40,7 +40,7 @@ def run_serve_scaling() -> "tuple[list, float]":
     Returns ``([(n, batched_report, sequential_report), ...], wall_s)``.
     """
     from repro.serve.request import build_fleet
-    from repro.serve.runtime import serve_fleet
+    from repro.serve.fleet.runtime import serve_fleet
 
     t0 = time.perf_counter()
     rows = []

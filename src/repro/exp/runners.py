@@ -17,6 +17,7 @@ executions of the same resolved config produce byte-equal artifacts.
 
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass, field
 
@@ -111,22 +112,30 @@ def _fleet_outcome(report, extra_metrics: "dict | None" = None) -> RunOutcome:
     return RunOutcome(metrics=_sanitize(metrics), artifacts=artifacts)
 
 
-def _execute_serve(params: dict) -> RunOutcome:
-    from repro.serve.cli import run_from_config
+def _resolver(module: str):
+    def resolve(params: dict) -> dict:
+        return importlib.import_module(module).resolve_run_config(params)
 
-    return _fleet_outcome(run_from_config(params))
-
-
-def _execute_chaos(params: dict) -> RunOutcome:
-    from repro.faults.cli import run_from_config
-
-    return _fleet_outcome(run_from_config(params))
+    return resolve
 
 
-def _execute_fleet(params: dict) -> RunOutcome:
-    from repro.serve.fleet.cli import run_from_config
+#: The fleet runner names and their param resolvers.  Each name spells
+#: its params differently; all resolve to one ``{"kind": "fleet"}``
+#: config, run by the one fleet executor.
+FLEET_RUNNERS = {
+    "serve": _resolver("repro.serve.cli"),
+    "chaos": _resolver("repro.faults.cli"),
+    "fleet": _resolver("repro.serve.fleet.cli"),
+}
 
-    return _fleet_outcome(run_from_config(params))
+
+def _fleet_runner(resolve):
+    def execute(params: dict) -> RunOutcome:
+        from repro.serve.fleet.cli import runtime_from_resolved
+
+        return _fleet_outcome(runtime_from_resolved(resolve(params)).run())
+
+    return resolve, execute
 
 
 def _execute_sdc(params: dict) -> RunOutcome:
@@ -195,36 +204,6 @@ def _execute_paper(params: dict) -> RunOutcome:
     )
 
 
-def _resolve_serve(params: dict) -> dict:
-    from repro.serve.cli import resolve_run_config
-
-    return resolve_run_config(params)
-
-
-def _resolve_chaos(params: dict) -> dict:
-    from repro.faults.cli import resolve_run_config
-
-    return resolve_run_config(params)
-
-
-def _resolve_fleet(params: dict) -> dict:
-    from repro.serve.fleet.cli import resolve_run_config
-
-    return resolve_run_config(params)
-
-
-def _resolve_sdc(params: dict) -> dict:
-    from repro.reliability.cli import resolve_run_config
-
-    return resolve_run_config(params)
-
-
-def _resolve_recover(params: dict) -> dict:
-    from repro.recover.cli import resolve_run_config
-
-    return resolve_run_config(params)
-
-
 def _resolve_paper(params: dict) -> dict:
     from repro.experiments.cli import resolve_run_config
 
@@ -234,11 +213,9 @@ def _resolve_paper(params: dict) -> dict:
 #: name -> (resolve, execute).  New workloads register here; the rest of
 #: the campaign machinery (expansion, ledger, compare) is runner-agnostic.
 RUNNERS = {
-    "serve": (_resolve_serve, _execute_serve),
-    "chaos": (_resolve_chaos, _execute_chaos),
-    "fleet": (_resolve_fleet, _execute_fleet),
-    "sdc": (_resolve_sdc, _execute_sdc),
-    "recover": (_resolve_recover, _execute_recover),
+    **{name: _fleet_runner(resolve) for name, resolve in FLEET_RUNNERS.items()},
+    "sdc": (_resolver("repro.reliability.cli"), _execute_sdc),
+    "recover": (_resolver("repro.recover.cli"), _execute_recover),
     "paper": (_resolve_paper, _execute_paper),
 }
 

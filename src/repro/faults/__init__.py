@@ -6,13 +6,14 @@ occlusion, MIPI bit errors), serving faults with recovery (worker
 crashes/stalls/latency spikes, retry + backoff, per-worker circuit
 breakers), and a tracking-quality watchdog that trades foveal-region
 size and prediction freshness for robustness before falling back to
-full-resolution rendering.  ``python -m repro chaos`` runs a scenario.
+full-resolution rendering.  A scenario is a one-shard fleet whose config
+carries a :class:`FaultsConfig` block; ``python -m repro chaos`` runs one.
 """
 
 from repro.faults.breaker import BreakerState, CircuitBreaker
 from repro.faults.config import (
     DEFAULT_TRACKER_PROFILE,
-    ChaosConfig,
+    FaultsConfig,
     InputFaultConfig,
     LatencySpike,
     RecoveryConfig,
@@ -33,14 +34,14 @@ from repro.faults.injectors import (
     inject_input_faults,
 )
 from repro.faults.netfaults import GraySlow, LinkProfile, PartitionWindow
-from repro.faults.runtime import ChaosRuntime, build_chaos_fleet, run_chaos
+from repro.faults.runtime import ChaosRuntime, build_chaos_fleet
 
 __all__ = [
     "BreakerState",
-    "ChaosConfig",
     "ChaosRuntime",
     "CircuitBreaker",
     "DEFAULT_TRACKER_PROFILE",
+    "FaultsConfig",
     "FaultyMipiLink",
     "FaultySensor",
     "GraySlow",
@@ -61,5 +62,4 @@ __all__ = [
     "build_chaos_fleet",
     "default_chaos_scenario",
     "inject_input_faults",
-    "run_chaos",
 ]

@@ -14,23 +14,17 @@ import argparse
 from dataclasses import fields, replace
 
 from repro.faults.config import (
-    ChaosConfig,
     InputFaultConfig,
     SoftErrorConfig,
     WorkerFaultSchedule,
     default_chaos_scenario,
 )
-from repro.faults.runtime import ChaosRuntime, run_chaos
-from repro.obs.cli import (
-    add_obs_arguments,
-    add_slo_arguments,
-    emit_obs_artifacts,
-    emit_slo_artifacts,
-    obs_from_args,
-    resolve_obs_out,
-)
-from repro.recover.cli import add_checkpoint_arguments, run_checkpointed_cli
-from repro.serve.config import AdmissionPolicy, ServeConfig
+from repro.obs.cli import add_obs_arguments, add_slo_arguments
+from repro.recover.cli import add_checkpoint_arguments
+from repro.serve.config import AdmissionPolicy, BatchServiceModel, ServeConfig
+from repro.serve.fleet.cli import resolved_config, run_cli
+from repro.serve.fleet.config import FleetConfig
+from repro.serve.fleet.runtime import run_fleet
 from repro.serve.telemetry import FleetReport, format_fleet_report
 
 
@@ -44,8 +38,9 @@ def _checked_overrides(overrides: dict, cls, what: str) -> dict:
     return dict(overrides)
 
 
-def config_from_params(params: dict) -> ChaosConfig:
-    """Campaign params -> a validated :class:`ChaosConfig`.
+def config_from_params(params: dict) -> FleetConfig:
+    """Campaign params -> a validated one-shard :class:`FleetConfig`
+    carrying the faults block.
 
     Starts from :func:`default_chaos_scenario` (exactly like the CLI)
     and applies overrides: ``"serve"`` / ``"input_faults"`` sub-dicts of
@@ -55,12 +50,13 @@ def config_from_params(params: dict) -> ChaosConfig:
     """
     params = dict(params)
     seed = int(params.pop("seed", 0))
-    base = default_chaos_scenario(seed=seed)
+    base_fleet = default_chaos_scenario(seed=seed)
+    base = base_fleet.faults
 
     serve_over = _checked_overrides(params.pop("serve", {}), ServeConfig, "chaos serve")
     if isinstance(serve_over.get("admission"), str):
         serve_over["admission"] = AdmissionPolicy(serve_over["admission"])
-    serve = replace(base.serve, **serve_over)
+    serve = replace(base_fleet.serve, **serve_over)
 
     faults_over = _checked_overrides(
         params.pop("input_faults", {}), InputFaultConfig, "chaos input-fault"
@@ -84,26 +80,26 @@ def config_from_params(params: dict) -> ChaosConfig:
             fit_per_mbit=fit, acceleration=accel, seed=seed
         )
 
-    fault_free = bool(params.pop("fault_free", False))
+    no_faults = bool(params.pop("fault_free", False))
     if params:
         raise ValueError(
             f"unknown chaos params: {sorted(params)} (known: "
             "['fault_free', 'input_faults', 'no_worker_faults', 'seed', "
             "'serve', 'soft_error_accel', 'soft_error_fit'])"
         )
-    config = ChaosConfig(
-        serve=serve,
+    faults = replace(
+        base,
         input_faults=input_faults,
         worker_faults=worker_faults,
-        recovery=base.recovery,
-        watchdog=base.watchdog,
-        profile=base.profile,
         soft_errors=soft_errors,
-        fault_seed=seed,
     )
-    if fault_free:
-        config = config.fault_free()
-    return config
+    config = replace(base_fleet, serve=serve, faults=faults)
+    return fault_free(config) if no_faults else config
+
+
+def fault_free(config: FleetConfig) -> FleetConfig:
+    """The same fleet with every fault disabled (the baseline run)."""
+    return replace(config, faults=config.faults.fault_free())
 
 
 # ----------------------------------------------------------------------
@@ -111,17 +107,7 @@ def config_from_params(params: dict) -> ChaosConfig:
 # ----------------------------------------------------------------------
 def resolve_run_config(params: dict) -> dict:
     """Validate campaign params -> the fully resolved canonical dict."""
-    from repro.recover.configio import chaos_config_to_dict
-
-    return {"kind": "chaos", "config": chaos_config_to_dict(config_from_params(params))}
-
-
-def run_from_config(params: dict, obs=None) -> FleetReport:
-    """Campaign entry point: params dict -> the run's FleetReport."""
-    from repro.recover.configio import chaos_config_from_dict
-
-    resolved = resolve_run_config(params)
-    return run_chaos(chaos_config_from_dict(resolved["config"]), obs=obs)
+    return resolved_config(config_from_params(params), BatchServiceModel())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -137,16 +123,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0,
                         help="seeds both the fleet and the fault streams")
     parser.add_argument("--drop-rate", type=float,
-                        default=base.input_faults.frame_drop_rate,
+                        default=base.faults.input_faults.frame_drop_rate,
                         help="i.i.d. sensor frame-drop probability")
     parser.add_argument("--noise-burst-rate", type=float,
-                        default=base.input_faults.noise_burst_rate_hz,
+                        default=base.faults.input_faults.noise_burst_rate_hz,
                         help="tracking noise bursts per second per session")
     parser.add_argument("--occlusion-rate", type=float,
-                        default=base.input_faults.occlusion_rate_hz,
+                        default=base.faults.input_faults.occlusion_rate_hz,
                         help="eyelid occlusion episodes per second per session")
     parser.add_argument("--bit-error-rate", type=float,
-                        default=base.input_faults.bit_error_rate,
+                        default=base.faults.input_faults.bit_error_rate,
                         help="MIPI per-bit transient error probability")
     parser.add_argument("--no-worker-faults", action="store_true",
                         help="disable the crash/stall/spike schedule")
@@ -168,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> ChaosConfig:
+def config_from_args(args: argparse.Namespace) -> FleetConfig:
     return config_from_params(
         {
             "seed": args.seed,
@@ -198,59 +184,11 @@ def main(argv: "list[str] | None" = None) -> int:
         config = config_from_args(args)
     except ValueError as err:
         parser.error(str(err))
-    if args.kill_at_event is not None and args.checkpoint_dir is None:
-        parser.error("--kill-at-event requires --checkpoint-dir")
-    if args.slo is not None and args.checkpoint_dir is not None:
-        parser.error("--slo and --checkpoint-dir are mutually exclusive "
-                     "(the SLO engine is not checkpointed)")
-    obs = obs_from_args(args)
-    slo_engine = None
-    if args.slo is not None:
-        from repro.obs.config import Obs, ObsConfig
-        from repro.obs.slo import SloConfigError, SloEngine, resolve_slo_config
-
-        if obs is None:
-            obs = Obs(ObsConfig(top_k=args.obs_top))
-        try:
-            slo_config = resolve_slo_config(args.slo, config.serve.deadline_s)
-        except SloConfigError as err:
-            parser.error(str(err))
-        slo_engine = SloEngine(slo_config, obs)
-    if args.checkpoint_dir is not None:
-        runtime = ChaosRuntime(config, obs=obs)
-        report = run_checkpointed_cli(runtime, args, parser)
-        if not isinstance(report, FleetReport):
-            return report  # simulated crash exit code
-    elif slo_engine is not None:
-        runtime = ChaosRuntime(config, obs=obs)
-        runtime.attach_slo(slo_engine)
-        report = runtime.run()
-    else:
-        report = run_chaos(config, obs=obs)
-    print(format_fleet_report(report, max_session_rows=args.max_session_rows))
-    if slo_engine is not None:
-        from repro.obs.slo import evaluate_summary, format_summary_verdicts
-        from repro.serve.telemetry import fleet_summary_metrics
-
-        print("\n--- SLO verdicts ---\n")
-        print(slo_engine.format_verdicts())
-        summary_objectives = slo_engine.config.summary_objectives
-        if summary_objectives:
-            rows = evaluate_summary(
-                summary_objectives, fleet_summary_metrics(report)
-            )
-            print()
-            print(format_summary_verdicts(rows))
-    if args.obs:
-        from repro.recover.configio import chaos_config_to_dict
-
-        resolved = {"kind": "chaos", "config": chaos_config_to_dict(config)}
-        out_dir = resolve_obs_out(args.obs_out, "chaos", resolved)
-        emit_obs_artifacts(obs, out_dir, top_k=args.obs_top)
-        if slo_engine is not None:
-            emit_slo_artifacts(slo_engine, out_dir)
+    report = run_cli(config, BatchServiceModel(), args, parser, "chaos")
+    if not isinstance(report, FleetReport):
+        return report  # simulated crash exit code
     if args.compare_fault_free and not args.fault_free:
-        baseline = run_chaos(config.fault_free())
+        baseline = run_fleet(fault_free(config))
         print("\n--- fault-free baseline ---\n")
         print(format_fleet_report(baseline, max_session_rows=args.max_session_rows))
         miss = report.deadline_miss_rate

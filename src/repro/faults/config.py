@@ -1,9 +1,9 @@
 """Configuration of the fault-injection and graceful-degradation layer.
 
-A chaos run is fully described by one :class:`ChaosConfig`: the serving
-fleet (``repro.serve.ServeConfig``), the input-fault mix applied to every
-session's sensing chain, the declarative worker-fault schedule, the
-recovery policy (retries, backoff, circuit breaker), and the
+A chaos run is a one-shard fleet (``repro.serve.fleet.FleetConfig``)
+carrying a :class:`FaultsConfig` block: the input-fault mix applied to
+every session's sensing chain, the declarative worker-fault schedule,
+the recovery policy (retries, backoff, circuit breaker), and the
 tracking-quality watchdog thresholds.  Everything is seeded — the input
 faults from ``fault_seed`` (independent of the fleet's oculomotor seed),
 the worker faults from the schedule's literal times — so the same config
@@ -118,10 +118,10 @@ class RecoveryConfig:
 
 
 @dataclass(frozen=True)
-class ChaosConfig:
-    """One reproducible chaos scenario, end to end."""
+class FaultsConfig:
+    """The faults block of a fleet config: one reproducible chaos
+    scenario on top of the serving fleet it runs on."""
 
-    serve: ServeConfig = field(default_factory=ServeConfig)
     input_faults: InputFaultConfig = field(default_factory=InputFaultConfig)
     worker_faults: WorkerFaultSchedule = field(default_factory=WorkerFaultSchedule)
     recovery: RecoveryConfig = field(default_factory=RecoveryConfig)
@@ -134,23 +134,9 @@ class ChaosConfig:
     soft_errors: SoftErrorConfig = field(default_factory=SoftErrorConfig.inactive)
     fault_seed: int = 0
 
-    def __post_init__(self) -> None:
-        for crash in self.worker_faults.crashes:
-            if crash.worker_id >= self.serve.n_workers:
-                raise ValueError(
-                    f"crash targets worker {crash.worker_id} but the pool "
-                    f"has {self.serve.n_workers} workers"
-                )
-        for stall in self.worker_faults.stalls:
-            if stall.worker_id >= self.serve.n_workers:
-                raise ValueError(
-                    f"stall targets worker {stall.worker_id} but the pool "
-                    f"has {self.serve.n_workers} workers"
-                )
-
-    def fault_free(self) -> "ChaosConfig":
-        """The same fleet and pool with every fault disabled — the
-        comparison baseline for degradation budgets."""
+    def fault_free(self) -> "FaultsConfig":
+        """The same scenario with every fault disabled — the comparison
+        baseline for degradation budgets."""
         return replace(
             self,
             input_faults=InputFaultConfig(),
@@ -159,11 +145,14 @@ class ChaosConfig:
         )
 
 
-def default_chaos_scenario(seed: int = 0) -> ChaosConfig:
+def default_chaos_scenario(seed: int = 0):
     """The canonical acceptance scenario: 10% sensor frame drops, a noise
     burst / occlusion mix, a stall window that trips worker 0's circuit
     breaker, a worker-0 crash at t=0.8s, and a latency-spike window on
-    worker 1 — all on a two-worker pool under predict-heavy load."""
+    worker 1 — all on a one-shard, two-worker fleet under predict-heavy
+    load.  Returns the :class:`~repro.serve.fleet.FleetConfig`."""
+    from repro.serve.fleet.config import FleetConfig
+
     serve = ServeConfig(
         n_sessions=24,
         duration_s=2.0,
@@ -172,8 +161,7 @@ def default_chaos_scenario(seed: int = 0) -> ChaosConfig:
         queue_budget_deadlines=0.8,
         seed=seed,
     )
-    return ChaosConfig(
-        serve=serve,
+    faults = FaultsConfig(
         input_faults=InputFaultConfig(
             frame_drop_rate=0.10,
             noise_burst_rate_hz=0.2,
@@ -190,11 +178,12 @@ def default_chaos_scenario(seed: int = 0) -> ChaosConfig:
         ),
         fault_seed=seed,
     )
+    return FleetConfig(serve=serve, n_shards=1, faults=faults)
 
 
 __all__ = [
-    "ChaosConfig",
     "DEFAULT_TRACKER_PROFILE",
+    "FaultsConfig",
     "InputFaultConfig",
     "LatencySpike",
     "RecoveryConfig",

@@ -20,16 +20,19 @@ reproduces the exact fault trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.eye.events import MovementType
 from repro.eye.motion import GazeTrack
-from repro.faults.config import InputFaultConfig
 from repro.hw.mipi import MipiLink
 from repro.hw.sensor import CameraSensor
 from repro.utils.rng import default_rng
 from repro.utils.validation import check_probability
+
+if TYPE_CHECKING:
+    from repro.faults.config import InputFaultConfig
 
 #: Eyelid openness below which no usable gaze signal exists (matches the
 #: blink-labelling threshold of the oculomotor generator).

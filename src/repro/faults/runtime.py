@@ -1,7 +1,10 @@
-"""Fault-aware serving loop: injection, recovery, graceful degradation.
+"""Fault-aware serving shard: injection, recovery, graceful degradation.
 
-:class:`ChaosRuntime` extends the deterministic discrete-event loop of
-:class:`repro.serve.runtime.ServeRuntime` with the full fault model:
+:class:`ChaosRuntime` is the shard a fleet runs when its config carries a
+faults block (``FleetConfig.faults``).  It extends the deterministic
+event core of :class:`repro.serve.fleet.shard.ShardRuntime` — through
+the core's hooks, never a per-event branch in it — with the full fault
+model:
 
 * **Input faults** — each session's oculomotor trace is pre-faulted by
   :func:`repro.faults.injectors.inject_input_faults`; dropped frames are
@@ -22,7 +25,10 @@
 
 Everything stays deterministic: fault times are scheduled, sampling is
 seeded per session, and ties break on the event heap exactly as in the
-base loop — a seed reproduces bit-identical fault/degradation telemetry.
+core loop — a seed reproduces bit-identical fault/degradation telemetry.
+A fault run is a static one-shard fleet (the config refuses any other
+topology), so this shard always holds the whole fleet, in session-id
+order.
 """
 
 from __future__ import annotations
@@ -33,19 +39,19 @@ from dataclasses import replace
 import numpy as np
 
 from repro.faults.breaker import BreakerState, CircuitBreaker
-from repro.faults.config import ChaosConfig
+from repro.faults.config import FaultsConfig
 from repro.faults.injectors import (
     OCCLUSION_BLIND_OPENNESS,
     InputFaultTrace,
     inject_input_faults,
 )
-from repro.obs import Obs, PID_RELIABILITY, PID_WORKERS, session_pid
+from repro.obs import PID_RELIABILITY, PID_WORKERS, session_pid
 from repro.reliability.guard import GazeVerdict, PlausibilityConfig, PlausibilityGuard
 from repro.reliability.softerror import FaultSite, SoftErrorEvent, SoftErrorModel
-from repro.serve.config import AdmissionPolicy, BatchServiceModel
+from repro.serve.config import ServeConfig
+from repro.serve.fleet.shard import _ARRIVAL, _COMPLETE, _WINDOW, ShardRuntime
 from repro.serve.request import ClientSession, FrameRequest, build_fleet
-from repro.serve.runtime import _ARRIVAL, _COMPLETE, _WINDOW, InferenceFn, ServeRuntime
-from repro.serve.telemetry import FaultReport, FleetReport
+from repro.serve.telemetry import FaultReport
 from repro.serve.workers import DispatchOutcome, FaultyWorkerPool, WorkerState
 from repro.system.session import SessionConfig, decide_paths
 from repro.system.watchdog import DegradationLevel, TrackingWatchdog
@@ -61,7 +67,7 @@ SDC_THRESHOLD_DEG = 0.05
 
 
 def build_chaos_fleet(
-    config: ChaosConfig,
+    serve: ServeConfig, faults: FaultsConfig
 ) -> tuple[list[ClientSession], list[InputFaultTrace]]:
     """The serve fleet with input faults layered onto every session.
 
@@ -71,17 +77,17 @@ def build_chaos_fleet(
     decisions — noisy gaze breaks reuse anchors exactly the way real
     tracking noise does.
     """
-    clean = build_fleet(config.serve)
+    clean = build_fleet(serve)
     session_config = SessionConfig(
-        reuse_displacement_deg=config.serve.reuse_displacement_deg,
-        post_saccade_low_res=config.serve.post_saccade_low_res,
+        reuse_displacement_deg=serve.reuse_displacement_deg,
+        post_saccade_low_res=serve.post_saccade_low_res,
     )
     fleet, traces = [], []
     for session in clean:
         faulted, trace = inject_input_faults(
             session.track,
-            config.input_faults,
-            seed=config.fault_seed * _FAULT_SEED_STRIDE + session.session_id,
+            faults.input_faults,
+            seed=faults.fault_seed * _FAULT_SEED_STRIDE + session.session_id,
         )
         fleet.append(
             ClientSession(
@@ -95,24 +101,22 @@ def build_chaos_fleet(
     return fleet, traces
 
 
-class ChaosRuntime(ServeRuntime):
-    """One chaos scenario: faulted fleet, faulty pool, recovery stack."""
+class ChaosRuntime(ShardRuntime):
+    """The fault-aware shard: faulted fleet, faulty pool, recovery stack."""
 
     def __init__(
         self,
-        chaos: ChaosConfig,
-        service: "BatchServiceModel | None" = None,
-        inference: "InferenceFn | None" = None,
-        obs: "Obs | None" = None,
+        shard_id: int,
+        template: ServeConfig,
+        faults: FaultsConfig,
+        traces: list[InputFaultTrace],
+        **kwargs,
     ):
-        fleet, traces = build_chaos_fleet(chaos)
-        super().__init__(
-            chaos.serve, service=service, inference=inference, fleet=fleet, obs=obs
-        )
-        self.chaos = chaos
+        super().__init__(shard_id, template, **kwargs)
+        chaos = self.chaos = faults
         self.traces = traces
         self.pool = FaultyWorkerPool(
-            chaos.serve.n_workers,
+            template.n_workers,
             self.service,
             schedule=chaos.worker_faults,
             stall_timeout_s=chaos.recovery.dispatch_timeout_s,
@@ -122,7 +126,7 @@ class ChaosRuntime(ServeRuntime):
                 failure_threshold=chaos.recovery.breaker_threshold,
                 cooldown_s=chaos.recovery.breaker_cooldown_s,
             )
-            for _ in range(chaos.serve.n_workers)
+            for _ in range(template.n_workers)
         ]
         self.watchdogs = [
             TrackingWatchdog(
@@ -160,16 +164,16 @@ class ChaosRuntime(ServeRuntime):
         self.guards: "list[PlausibilityGuard] | None" = None
         if chaos.soft_errors.active:
             self.guards = [
-                PlausibilityGuard(PlausibilityConfig(fps=chaos.serve.fps))
+                PlausibilityGuard(PlausibilityConfig(fps=template.fps))
                 for _ in self.fleet
             ]
             schedule = SoftErrorModel(chaos.soft_errors).schedule(
-                chaos.serve.duration_s
+                template.duration_s
             )
             for index, event in enumerate(schedule):
                 sid = index % len(self.fleet)
                 session = self.fleet[sid]
-                frame = int((event.t_s - session.start_s) * chaos.serve.fps)
+                frame = int((event.t_s - session.start_s) * template.fps)
                 frame = min(max(frame, 0), session.n_frames - 1)
                 self._sdc_queues[sid].append((frame, event))
             for queue in self._sdc_queues:
@@ -178,15 +182,10 @@ class ChaosRuntime(ServeRuntime):
     # ------------------------------------------------------------------
     # SLO coupling: a paging latency budget widens the fovea
     # ------------------------------------------------------------------
-    def attach_slo(self, engine) -> None:
-        """Attach an SLO engine and wire its PAGE action to the ladder:
-        an objective with ``on_page: "widen"`` escalates every session's
-        watchdog to WIDENED — the Eq. 1 foveal-radius widening path —
-        the moment the error budget pages."""
-        super().attach_slo(engine)
-        engine.on_page = self._slo_page_hook
-
-    def _slo_page_hook(self, objective, now_s: float) -> None:
+    def on_slo_page(self, objective, now_s: float) -> None:
+        """An objective with ``on_page: "widen"`` escalates every
+        session's watchdog to WIDENED — the Eq. 1 foveal-radius widening
+        path — the moment the error budget pages."""
         if objective.on_page != "widen":
             return
         for watchdog in self.watchdogs:
@@ -340,32 +339,6 @@ class ChaosRuntime(ServeRuntime):
             n += 1
         return max(1, n)
 
-    def _admit(self, request: FrameRequest, now: float) -> bool:
-        if self.config.admission is AdmissionPolicy.ALWAYS:
-            return True
-        pending = len(self.batcher) + self.pool.in_flight_frames() + 1
-        batches = math.ceil(pending / self.config.max_batch)
-        wait = (
-            batches
-            * self.service.service_s(self.config.max_batch)
-            / self._available_workers(now)
-        )
-        if wait <= self.config.queue_budget_s:
-            return True
-        if self.config.admission is AdmissionPolicy.DEGRADE:
-            self._degrade_now(request, now, cause="admission")
-        else:  # SHED
-            self.stats[request.session_id].record_shed(request.path)
-            if self.obs.enabled:
-                self.obs.tracer.instant(
-                    "shed", now, cat="serve",
-                    pid=session_pid(request.session_id),
-                    args={"frame": request.frame_index},
-                )
-                assert self._instruments is not None
-                self._instruments.shed.inc()
-        return False
-
     # ------------------------------------------------------------------
     # Dispatch through breakers and the faulty pool
     # ------------------------------------------------------------------
@@ -413,15 +386,7 @@ class ChaosRuntime(ServeRuntime):
             breaker.note_dispatch(now)
             outcome = self.pool.dispatch_faulty(worker, len(batch), now)
             if outcome.ok and self.inference is not None:
-                outputs = np.asarray(self.inference(batch))
-                if outputs.shape != (len(batch), 2):
-                    raise ValueError(
-                        f"inference hook returned shape {outputs.shape}, "
-                        f"expected ({len(batch)}, 2)"
-                    )
-                assert self.predictions is not None
-                for request, gaze in zip(batch, outputs):
-                    self.predictions[(request.session_id, request.frame_index)] = gaze
+                self._run_inference(batch)
             if self.obs.enabled:
                 self._trace_batch(
                     worker.worker_id, batch, now, outcome.done_s, ok=outcome.ok
@@ -522,29 +487,17 @@ class ChaosRuntime(ServeRuntime):
             if self.obs.enabled:
                 self._trace_frame(request, "full_res", now - request.arrival_s)
             return
-        if request.path == "saccade":
-            self._record_completion(request, now + self.config.saccade_bypass_s)
-            return
-        if request.path == "reuse":
-            self._record_completion(request, now + self.config.reuse_bypass_s)
-            return
-        # Predict path.
-        if blind:
-            self.faults.occlusion_degraded += 1
-            self._degrade_now(request, now, cause="occlusion")
-            return
-        if level >= DegradationLevel.REUSE_ONLY:
-            self.faults.watchdog_reuse_frames += 1
-            self._degrade_now(request, now, cause="watchdog")
-            return
-        if not self._admit(request, now):
-            return
-        self.batcher.enqueue(request)
-        self._try_dispatch(now)
-        if len(self.batcher) > 0 and self.batcher.window_s > 0:
-            deadline = self.batcher.next_deadline_s()
-            if deadline is not None:
-                self._push(deadline, _WINDOW, None)
+        if request.path == "predict":
+            if blind:
+                self.faults.occlusion_degraded += 1
+                self._degrade_now(request, now, cause="occlusion")
+                return
+            if level >= DegradationLevel.REUSE_ONLY:
+                self.faults.watchdog_reuse_frames += 1
+                self._degrade_now(request, now, cause="watchdog")
+                return
+        # The core serves the bypass paths and admits predict frames.
+        super()._on_arrival(request, now)
 
     def _on_complete(self, worker_batch, now: float) -> None:
         worker, batch, outcome = worker_batch
@@ -579,8 +532,6 @@ class ChaosRuntime(ServeRuntime):
     # ------------------------------------------------------------------
     # Snapshot protocol (repro.recover)
     # ------------------------------------------------------------------
-    RUNTIME_KIND = "chaos"
-
     def _encode_payload(self, kind: int, payload: object) -> object:
         if kind == _COMPLETE:
             worker, batch, outcome = payload  # type: ignore[misc]
@@ -644,23 +595,22 @@ class ChaosRuntime(ServeRuntime):
             breaker.load_state(saved)
         for watchdog, saved in zip(self.watchdogs, state["watchdogs"]):
             watchdog.load_state(saved)
-        sdc = state.get("sdc")
-        if sdc is not None:
-            self._sdc_next = [int(n) for n in sdc["next"]]
-            self._sdc_persistent = [
-                np.asarray(p, dtype=np.float64) for p in sdc["persistent"]
-            ]
-            self._guard_last_frame = [
-                None if f is None else int(f) for f in sdc["guard_last_frame"]
-            ]
-            if sdc["guards"] is not None and self.guards is not None:
-                for guard, saved in zip(self.guards, sdc["guards"]):
-                    guard.load_state(saved)
+        sdc = state["sdc"]
+        self._sdc_next = [int(n) for n in sdc["next"]]
+        self._sdc_persistent = [
+            np.asarray(p, dtype=np.float64) for p in sdc["persistent"]
+        ]
+        self._guard_last_frame = [
+            None if f is None else int(f) for f in sdc["guard_last_frame"]
+        ]
+        if sdc["guards"] is not None and self.guards is not None:
+            for guard, saved in zip(self.guards, sdc["guards"]):
+                guard.load_state(saved)
 
     # ------------------------------------------------------------------
     # Telemetry assembly
     # ------------------------------------------------------------------
-    def _fault_report(self) -> FaultReport:
+    def fault_report(self) -> FaultReport:
         end_s = max(self.config.duration_s, self._makespan_s)
         dwell: dict[str, float] = {}
         degradation: list[tuple[float, int, str, str]] = []
@@ -688,12 +638,3 @@ class ChaosRuntime(ServeRuntime):
         self.faults.widened_delta_theta_deg = widened
         return self.faults
 
-
-def run_chaos(
-    chaos: ChaosConfig,
-    service: "BatchServiceModel | None" = None,
-    inference: "InferenceFn | None" = None,
-    obs: "Obs | None" = None,
-) -> FleetReport:
-    """Run one seeded chaos scenario; the report carries ``.faults``."""
-    return ChaosRuntime(chaos, service=service, inference=inference, obs=obs).run()

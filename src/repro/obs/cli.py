@@ -190,7 +190,7 @@ def main(argv: "list[str] | None" = None) -> int:
             from dataclasses import replace
 
             from repro.faults.config import default_chaos_scenario
-            from repro.faults.runtime import run_chaos
+            from repro.serve.fleet.runtime import run_fleet
 
             base = default_chaos_scenario(seed=args.seed)
             duration = args.frames / base.serve.fps
@@ -202,12 +202,11 @@ def main(argv: "list[str] | None" = None) -> int:
                     n_workers=args.workers,
                     duration_s=duration,
                 ),
-                fault_seed=args.seed,
             )
-            report = run_chaos(chaos, obs=obs)
+            report = run_fleet(chaos, obs=obs)
         else:
             from repro.serve.config import ServeConfig
-            from repro.serve.runtime import serve_fleet
+            from repro.serve.fleet.runtime import serve_fleet
 
             defaults = ServeConfig()
             config = ServeConfig(

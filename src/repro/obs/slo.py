@@ -61,7 +61,7 @@ class SloConfigError(ValueError):
     """A malformed SLO config (unknown keys, metrics, windows)."""
 
 
-#: Instrument names the serve/chaos runtimes publish while running —
+#: Instrument names the serving shards publish while running —
 #: the universe an online objective may reference.  ``repro.obs.lint``
 #: and config parsing both reject names outside it, so a typo'd metric
 #: fails loudly instead of silently never burning.

@@ -29,8 +29,9 @@ from pathlib import Path
 from repro.recover.codec import canonical_bytes, crc32
 from repro.recover.errors import CheckpointError
 
-#: Bump when the manifest/payload schema changes incompatibly.
-CHECKPOINT_FORMAT_VERSION = 1
+#: Bump when the manifest/payload schema changes incompatibly.  Version 2
+#: is the single-engine format: every checkpoint is a ``"fleet"``.
+CHECKPOINT_FORMAT_VERSION = 2
 
 _MANIFEST_KEYS = frozenset(
     {
@@ -171,9 +172,11 @@ class CheckpointStore:
                 f"newer than the supported {CHECKPOINT_FORMAT_VERSION} — "
                 "upgrade repro to restore it"
             )
-        if version < 1:
+        if version < CHECKPOINT_FORMAT_VERSION:
             raise CheckpointError(
-                f"manifest {manifest_path} has invalid format version {version}"
+                f"checkpoint {manifest_path} uses format version {version}, "
+                f"older than the supported {CHECKPOINT_FORMAT_VERSION} — "
+                "it predates the single fleet engine and cannot be restored"
             )
         if manifest["event_index"] != event_index:
             raise CheckpointError(

@@ -1,7 +1,7 @@
 """``python -m repro recover`` — warm-restart a killed serving run.
 
 Given a checkpoint directory written by ``python -m repro serve
---checkpoint-dir`` (or ``chaos --checkpoint-dir``), restores the latest
+--checkpoint-dir`` (or ``chaos`` / ``fleet``), restores the latest
 valid checkpoint, replays the write-ahead journal tail, runs the fleet
 to completion, and prints the final report to stdout.  The recovery
 summary (checkpoint used, events replayed, corrupt checkpoints skipped)
@@ -10,8 +10,8 @@ uninterrupted run — exactly what ``--verify`` and the ``recover-smoke``
 CI job do.
 
 This module also owns the shared ``--checkpoint-dir`` /
-``--checkpoint-every`` / ``--kill-at-event`` flags the serve and chaos
-CLIs import, plus the :data:`EXIT_SIMULATED_CRASH` code a killed run
+``--checkpoint-every`` / ``--kill-at-event`` flags the serve, chaos and
+fleet CLIs import, plus the :data:`EXIT_SIMULATED_CRASH` code a killed run
 exits with.
 """
 
@@ -36,7 +36,7 @@ from repro.recover.manager import (
     restore_runtime,
     run_with_checkpoints,
 )
-from repro.serve.runtime import ServeRuntime
+from repro.serve.fleet.runtime import FleetRuntime
 from repro.serve.telemetry import format_fleet_report
 
 #: Exit code of a run terminated by an injected :class:`ProcessKill` —
@@ -68,8 +68,8 @@ class RecoverProbeReport:
 def resolve_run_config(params: dict) -> dict:
     """Validate campaign params -> the fully resolved canonical dict.
 
-    ``target`` picks the runtime under test (``"serve"``, ``"chaos"``,
-    or ``"fleet"``); the remaining params are that runner's, plus
+    ``target`` picks the runner whose params the rest are (``"serve"``,
+    ``"chaos"``, or ``"fleet"``; each resolves to one fleet config), plus
     ``kill_at_event`` and ``checkpoint_every``.
     """
     params = dict(params)
@@ -80,57 +80,19 @@ def resolve_run_config(params: dict) -> dict:
         raise ValueError(f"kill_at_event must be >= 1, got {kill_at_event}")
     if checkpoint_every < 1:
         raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
-    if target == "serve":
-        from repro.serve.cli import resolve_run_config as resolve_serve
+    from repro.exp.runners import FLEET_RUNNERS
 
-        inner = resolve_serve(params)
-    elif target == "chaos":
-        from repro.faults.cli import resolve_run_config as resolve_chaos
-
-        inner = resolve_chaos(params)
-    elif target == "fleet":
-        from repro.serve.fleet.cli import resolve_run_config as resolve_fleet
-
-        inner = resolve_fleet(params)
-    else:
+    if target not in FLEET_RUNNERS:
         raise ValueError(
             f"unknown recover target {target!r} "
             "(choose 'serve', 'chaos', or 'fleet')"
         )
     return {
         "kind": "recover",
-        "target": inner,
+        "target": FLEET_RUNNERS[target](params),
         "kill_at_event": kill_at_event,
         "checkpoint_every": checkpoint_every,
     }
-
-
-def _target_runtime(target: dict) -> ServeRuntime:
-    if target["kind"] == "serve":
-        from repro.recover.configio import (
-            serve_config_from_dict,
-            service_model_from_dict,
-        )
-
-        return ServeRuntime(
-            serve_config_from_dict(target["config"]),
-            service=service_model_from_dict(target["service"]),
-        )
-    if target["kind"] == "fleet":
-        from repro.recover.configio import (
-            fleet_config_from_dict,
-            service_model_from_dict,
-        )
-        from repro.serve.fleet.runtime import FleetRuntime
-
-        return FleetRuntime(
-            fleet_config_from_dict(target["config"]),
-            service=service_model_from_dict(target["service"]),
-        )
-    from repro.faults.runtime import ChaosRuntime
-    from repro.recover.configio import chaos_config_from_dict
-
-    return ChaosRuntime(chaos_config_from_dict(target["config"]))
 
 
 def run_from_config(params: dict) -> RecoverProbeReport:
@@ -142,10 +104,12 @@ def run_from_config(params: dict) -> RecoverProbeReport:
     """
     import tempfile
 
+    from repro.serve.fleet.cli import runtime_from_resolved
+
     resolved = resolve_run_config(params)
     every = resolved["checkpoint_every"]
     with tempfile.TemporaryDirectory(prefix="repro-recover-probe-") as tmp:
-        runtime = _target_runtime(resolved["target"])
+        runtime = runtime_from_resolved(resolved["target"])
         kill = ProcessKill(at_event=resolved["kill_at_event"])
         try:
             report = run_with_checkpoints(runtime, tmp, every=every, kill=kill)
@@ -172,7 +136,7 @@ def run_from_config(params: dict) -> RecoverProbeReport:
 
 
 # ----------------------------------------------------------------------
-# Shared checkpoint flags (imported by the serve and chaos CLIs)
+# Shared checkpoint flags (imported by the serve, chaos and fleet CLIs)
 # ----------------------------------------------------------------------
 def add_checkpoint_arguments(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("durability")
@@ -190,7 +154,7 @@ def add_checkpoint_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def run_checkpointed_cli(
-    runtime: ServeRuntime, args: argparse.Namespace, parser: argparse.ArgumentParser
+    runtime: FleetRuntime, args: argparse.Namespace, parser: argparse.ArgumentParser
 ):
     """Drive ``runtime`` under the shared checkpoint flags.
 
@@ -250,8 +214,9 @@ def main(argv: "list[str] | None" = None) -> int:
     checkpoint = restored.checkpoint
     for index, reason in restored.skipped_checkpoints:
         print(f"skipped corrupt checkpoint {index}: {reason}", file=sys.stderr)
+    what = "chaos" if restored.runtime.config.faults is not None else "fleet"
     print(
-        f"restored {checkpoint.kind} run from checkpoint "
+        f"restored {what} run from checkpoint "
         f"{checkpoint.event_index} (+{restored.replayed_events} journal "
         "events replayed)",
         file=sys.stderr,

@@ -1,11 +1,12 @@
 """Config <-> dict codecs for the checkpoint manifest.
 
 A checkpoint must be restorable from the directory alone, so the
-manifest embeds the *complete* run configuration — the serve or chaos
-config and the batch service model.  These codecs are explicit (not a
-generic pickle) so the on-disk format stays a documented, versioned
-JSON schema: enums go by value, tuples round-trip through lists, and
-reconstruction re-runs every dataclass validator.
+manifest embeds the *complete* run configuration — the fleet config
+(serve template, topology, faults block) and the batch service model.
+These codecs are explicit (not a generic pickle) so the on-disk format
+stays a documented, versioned JSON schema: enums go by value, tuples
+round-trip through lists, and reconstruction re-runs every dataclass
+validator.
 
 The experiment-campaign layer (``repro.exp``) reuses these codecs as
 its config canonicalizer: a run's identity is the
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import asdict
 
 from repro.faults.config import (
-    ChaosConfig,
+    FaultsConfig,
     InputFaultConfig,
     RecoveryConfig,
     SoftErrorConfig,
@@ -55,10 +56,9 @@ def service_model_from_dict(state: dict) -> BatchServiceModel:
     return BatchServiceModel(**state)
 
 
-def chaos_config_to_dict(config: ChaosConfig) -> dict:
+def faults_config_to_dict(config: FaultsConfig) -> dict:
     faults = config.worker_faults
     return {
-        "serve": serve_config_to_dict(config.serve),
         "input_faults": asdict(config.input_faults),
         "worker_faults": {
             "crashes": [asdict(c) for c in faults.crashes],
@@ -73,12 +73,11 @@ def chaos_config_to_dict(config: ChaosConfig) -> dict:
     }
 
 
-def chaos_config_from_dict(state: dict) -> ChaosConfig:
+def faults_config_from_dict(state: dict) -> FaultsConfig:
     input_faults = dict(state["input_faults"])
     input_faults["occlusion_level"] = tuple(input_faults["occlusion_level"])
     faults = state["worker_faults"]
-    return ChaosConfig(
-        serve=serve_config_from_dict(state["serve"]),
+    return FaultsConfig(
         input_faults=InputFaultConfig(**input_faults),
         worker_faults=WorkerFaultSchedule(
             crashes=tuple(WorkerCrash(**c) for c in faults["crashes"]),
@@ -88,7 +87,7 @@ def chaos_config_from_dict(state: dict) -> ChaosConfig:
         recovery=RecoveryConfig(**state["recovery"]),
         watchdog=WatchdogConfig(**state["watchdog"]),
         profile=TrackerSystemProfile(**state["profile"]),
-        # Older checkpoints predate soft errors; they ran without them.
+        # Configs resolved before soft errors existed ran without them.
         soft_errors=SoftErrorConfig(**state["soft_errors"])
         if "soft_errors" in state
         else SoftErrorConfig.inactive(),
@@ -151,9 +150,9 @@ def net_config_from_dict(state: dict):
 def fleet_config_to_dict(config) -> dict:
     """Serialize a :class:`~repro.serve.fleet.FleetConfig`.
 
-    The ``net`` key is present only when the transport is enabled, so
-    config hashes and checkpoint manifests of pre-transport (and plain)
-    fleet runs are byte-for-byte what they always were.
+    The ``net`` and ``faults`` keys are present only when the transport
+    is enabled / the faults block is set, so config hashes of plain
+    fleet runs do not depend on those features existing.
     """
     return {
         "serve": serve_config_to_dict(config.serve),
@@ -169,6 +168,11 @@ def fleet_config_to_dict(config) -> dict:
         **(
             {"net": net_config_to_dict(config.net)}
             if config.net.enabled
+            else {}
+        ),
+        **(
+            {"faults": faults_config_to_dict(config.faults)}
+            if config.faults is not None
             else {}
         ),
     }
@@ -195,11 +199,15 @@ def fleet_config_from_dict(state: dict):
         migration_seed=int(state["migration_seed"]),
         failover=FailoverConfig(**state["failover"]),
         rebalancer=RebalancerConfig(**state["rebalancer"]),
-        # Pre-transport checkpoints predate the key; they ran without it.
         net=(
             net_config_from_dict(state["net"])
             if "net" in state
             else NetConfig()
+        ),
+        faults=(
+            faults_config_from_dict(state["faults"])
+            if "faults" in state
+            else None
         ),
     )
 

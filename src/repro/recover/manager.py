@@ -27,23 +27,19 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.faults.injectors import ProcessKill, SimulatedCrash
-from repro.faults.runtime import ChaosRuntime
 from repro.obs import Obs, PID_RECOVER
 from repro.recover.checkpoint import Checkpoint, CheckpointStore
 from repro.recover.configio import (
-    chaos_config_from_dict,
-    chaos_config_to_dict,
     fleet_config_from_dict,
     fleet_config_to_dict,
-    serve_config_from_dict,
-    serve_config_to_dict,
     service_model_from_dict,
     service_model_to_dict,
 )
 from repro.recover.errors import RecoveryError
 from repro.recover.journal import JOURNAL_NAME, JournalWriter, read_journal
 from repro.serve.config import BatchServiceModel
-from repro.serve.runtime import InferenceFn, ServeRuntime
+from repro.serve.fleet.runtime import FleetRuntime
+from repro.serve.fleet.shard import InferenceFn
 from repro.serve.telemetry import FleetReport
 
 #: Default checkpoint cadence (events between snapshots).
@@ -54,7 +50,7 @@ DEFAULT_CHECKPOINT_EVERY = 1000
 class RestoredRuntime:
     """What :func:`restore_runtime` hands back."""
 
-    runtime: ServeRuntime
+    runtime: FleetRuntime
     checkpoint: Checkpoint
     replayed_events: int
     skipped_checkpoints: list[tuple[int, str]]
@@ -98,19 +94,9 @@ def _instruments(obs: Obs) -> "_RecoverInstruments | None":
 # ----------------------------------------------------------------------
 # Checkpointing run loop
 # ----------------------------------------------------------------------
-def _runtime_config_state(runtime: ServeRuntime) -> dict:
-    from repro.serve.fleet.runtime import FleetRuntime
-
-    if isinstance(runtime, ChaosRuntime):
-        return chaos_config_to_dict(runtime.chaos)
-    if isinstance(runtime, FleetRuntime):
-        return fleet_config_to_dict(runtime.config)
-    return serve_config_to_dict(runtime.config)
-
-
 def _write_checkpoint(
     store: CheckpointStore,
-    runtime: ServeRuntime,
+    runtime: FleetRuntime,
     every: int,
     instruments: "_RecoverInstruments | None",
     now_s: float,
@@ -119,7 +105,7 @@ def _write_checkpoint(
         runtime.state_dict(),
         event_index=runtime.events_processed,
         kind=runtime.RUNTIME_KIND,
-        config=_runtime_config_state(runtime),
+        config=fleet_config_to_dict(runtime.config),
         service=service_model_to_dict(runtime.service),
         checkpoint_every=every,
     )
@@ -133,7 +119,7 @@ def _write_checkpoint(
 
 
 def run_with_checkpoints(
-    runtime: ServeRuntime,
+    runtime: FleetRuntime,
     directory: "str | os.PathLike",
     every: int = DEFAULT_CHECKPOINT_EVERY,
     *,
@@ -195,33 +181,26 @@ def build_runtime(
     service: "BatchServiceModel | None",
     inference: "InferenceFn | None",
     obs: "Obs | None",
-) -> ServeRuntime:
-    """Construct a fresh runtime of the checkpoint's kind and config.
+) -> FleetRuntime:
+    """Construct a fresh fleet of the checkpoint's config.
 
     The manifest embeds the complete run configuration, so this needs
-    nothing beyond the checkpoint itself; pass ``service``/``inference``
-    only to override what the manifest recorded.
+    nothing beyond the checkpoint itself; pass ``service`` only to
+    override what the manifest recorded.  ``inference`` re-attaches the
+    batched-inference hook (a hook is code, not config).
     """
+    if checkpoint.kind != FleetRuntime.RUNTIME_KIND:
+        raise RecoveryError(
+            f"checkpoint {checkpoint.manifest_path} has unknown runtime kind "
+            f"{checkpoint.kind!r}"
+        )
     if service is None:
         service = service_model_from_dict(checkpoint.service)
-    if checkpoint.kind == "serve":
-        config = serve_config_from_dict(checkpoint.config)
-        return ServeRuntime(config, service=service, inference=inference, obs=obs)
-    if checkpoint.kind == "chaos":
-        chaos = chaos_config_from_dict(checkpoint.config)
-        return ChaosRuntime(chaos, service=service, inference=inference, obs=obs)
-    if checkpoint.kind == "fleet":
-        from repro.serve.fleet.runtime import FleetRuntime
-
-        if inference is not None:
-            raise RecoveryError(
-                "fleet checkpoints do not support an inference hook"
-            )
-        config = fleet_config_from_dict(checkpoint.config)
-        return FleetRuntime(config, service=service, obs=obs)
-    raise RecoveryError(
-        f"checkpoint {checkpoint.manifest_path} has unknown runtime kind "
-        f"{checkpoint.kind!r}"
+    return FleetRuntime(
+        fleet_config_from_dict(checkpoint.config),
+        service=service,
+        inference=inference,
+        obs=obs,
     )
 
 

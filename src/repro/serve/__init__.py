@@ -15,7 +15,6 @@ from repro.serve.config import (
     ServeConfig,
 )
 from repro.serve.request import ClientSession, FrameRequest, build_fleet, fleet_requests
-from repro.serve.runtime import ServeRuntime, serve_fleet
 from repro.serve.telemetry import (
     FaultReport,
     FleetReport,
@@ -24,41 +23,6 @@ from repro.serve.telemetry import (
     format_fault_report,
     format_fleet_report,
 )
-
-# The sharded fleet (PR 8) replaced the old ``FleetRuntime = ServeRuntime``
-# alias with a real multi-shard controller.  Compatibility contract:
-# ``FleetRuntime.restore(dir)`` still warm-restarts *any* checkpointed run
-# — old single-runtime ("serve"/"chaos") checkpoints restore to their
-# original runtime class, new "fleet" checkpoints to the fleet.  Code that
-# wants the single-shard loop by name uses ``SingleShardRuntime``.
-#
-# The fleet names resolve lazily (PEP 562): an eager import here closes
-# the cycle serve -> serve.fleet -> faults.injectors -> faults.config ->
-# serve.config whenever ``repro.faults`` is the import entry point.
-_FLEET_EXPORTS = (
-    "FailoverConfig",
-    "FleetConfig",
-    "FleetRuntime",
-    "FleetSection",
-    "HashRing",
-    "RebalancerConfig",
-    "SessionMigration",
-    "ShardKill",
-    "ShardRuntime",
-    "run_fleet",
-)
-
-
-def __getattr__(name: str):
-    if name in _FLEET_EXPORTS:
-        from repro.serve import fleet
-
-        return getattr(fleet, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-#: Explicit name for the one-shard event loop the fleet is built from.
-SingleShardRuntime = ServeRuntime
 from repro.serve.workers import (
     DispatchOutcome,
     FaultyWorkerPool,
@@ -68,6 +32,21 @@ from repro.serve.workers import (
     WorkerPool,
     WorkerStall,
     WorkerState,
+)
+
+# The fleet is the one serving runtime; it imports the modules above.
+from repro.serve.fleet import (
+    FailoverConfig,
+    FleetConfig,
+    FleetRuntime,
+    FleetSection,
+    HashRing,
+    RebalancerConfig,
+    SessionMigration,
+    ShardKill,
+    ShardRuntime,
+    run_fleet,
+    serve_fleet,
 )
 
 __all__ = [
@@ -90,12 +69,10 @@ __all__ = [
     "LatencySpike",
     "RebalancerConfig",
     "ServeConfig",
-    "ServeRuntime",
     "SessionMigration",
     "SessionStats",
     "ShardKill",
     "ShardRuntime",
-    "SingleShardRuntime",
     "WorkerCrash",
     "WorkerFaultSchedule",
     "WorkerPool",

@@ -1,9 +1,10 @@
 """``python -m repro serve`` — run a fleet-serving simulation.
 
-Simulates N concurrent HMD clients multiplexed onto a worker pool and
-prints the fleet report.  ``--compare-sequential`` additionally replays
-the identical fleet with cross-session batching disabled (``max_batch=1``)
-and prints both reports plus the goodput ratio.
+Simulates N concurrent HMD clients multiplexed onto a worker pool — a
+one-shard fleet — and prints the fleet report.  ``--compare-sequential``
+additionally replays the identical fleet with cross-session batching
+disabled (``max_batch=1``) and prints both reports plus the goodput
+ratio.
 """
 
 from __future__ import annotations
@@ -11,18 +12,13 @@ from __future__ import annotations
 import argparse
 from dataclasses import fields
 
-from repro.obs.cli import (
-    add_obs_arguments,
-    add_slo_arguments,
-    emit_obs_artifacts,
-    emit_slo_artifacts,
-    obs_from_args,
-    resolve_obs_out,
-)
-from repro.recover.cli import add_checkpoint_arguments, run_checkpointed_cli
+from repro.obs.cli import add_obs_arguments, add_slo_arguments
+from repro.recover.cli import add_checkpoint_arguments
 from repro.serve.config import AdmissionPolicy, BatchServiceModel, ServeConfig
+from repro.serve.fleet.cli import resolved_config, run_cli
+from repro.serve.fleet.config import FleetConfig
+from repro.serve.fleet.runtime import serve_fleet
 from repro.serve.request import build_fleet
-from repro.serve.runtime import ServeRuntime, serve_fleet
 from repro.serve.telemetry import FleetReport, format_fleet_report
 
 
@@ -35,11 +31,9 @@ def resolve_run_config(params: dict) -> dict:
     Params are flat :class:`ServeConfig` field overrides plus an optional
     ``"service"`` sub-dict of :class:`BatchServiceModel` overrides;
     unknown keys are rejected, and the returned dict spells out *every*
-    knob (defaults applied) so the campaign config hash is stable across
-    equivalent spellings.
+    knob of the one-shard fleet (defaults applied) so the campaign
+    config hash is stable across equivalent spellings.
     """
-    from repro.recover.configio import serve_config_to_dict, service_model_to_dict
-
     params = dict(params)
     try:
         service = BatchServiceModel(**params.pop("service", {}))
@@ -53,22 +47,12 @@ def resolve_run_config(params: dict) -> dict:
         )
     if isinstance(params.get("admission"), str):
         params["admission"] = AdmissionPolicy(params["admission"])
-    config = ServeConfig(**params)
-    return {
-        "kind": "serve",
-        "config": serve_config_to_dict(config),
-        "service": service_model_to_dict(service),
-    }
+    return resolved_config(single_shard(ServeConfig(**params)), service)
 
 
-def run_from_config(params: dict, obs=None) -> FleetReport:
-    """Campaign entry point: params dict -> the run's FleetReport."""
-    from repro.recover.configio import serve_config_from_dict, service_model_from_dict
-
-    resolved = resolve_run_config(params)
-    config = serve_config_from_dict(resolved["config"])
-    service = service_model_from_dict(resolved["service"])
-    return serve_fleet(config, service=service, obs=obs)
+def single_shard(config: ServeConfig) -> FleetConfig:
+    """The one-shard fleet that serves ``config``."""
+    return FleetConfig(serve=config, n_shards=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -144,65 +128,13 @@ def main(argv: "list[str] | None" = None) -> int:
         )
     except ValueError as err:
         parser.error(str(err))
-    if args.kill_at_event is not None and args.checkpoint_dir is None:
-        parser.error("--kill-at-event requires --checkpoint-dir")
-    if args.slo is not None and args.checkpoint_dir is not None:
-        parser.error("--slo and --checkpoint-dir are mutually exclusive "
-                     "(the SLO engine is not checkpointed)")
-    fleet = build_fleet(config)
-    obs = obs_from_args(args)
-    slo_engine = None
-    if args.slo is not None:
-        from repro.obs.config import Obs, ObsConfig
-        from repro.obs.slo import SloConfigError, SloEngine, resolve_slo_config
-
-        if obs is None:
-            obs = Obs(ObsConfig(top_k=args.obs_top))
-        try:
-            slo_config = resolve_slo_config(args.slo, config.deadline_s)
-        except SloConfigError as err:
-            parser.error(str(err))
-        slo_engine = SloEngine(slo_config, obs)
-    if args.checkpoint_dir is not None:
-        runtime = ServeRuntime(config, service=service, fleet=fleet, obs=obs)
-        report = run_checkpointed_cli(runtime, args, parser)
-        if not isinstance(report, FleetReport):
-            return report  # simulated crash exit code
-    elif slo_engine is not None:
-        runtime = ServeRuntime(config, service=service, fleet=fleet, obs=obs)
-        runtime.attach_slo(slo_engine)
-        report = runtime.run()
-    else:
-        report = serve_fleet(config, service=service, fleet=fleet, obs=obs)
-    print(format_fleet_report(report, max_session_rows=args.max_session_rows))
-    if slo_engine is not None:
-        from repro.obs.slo import evaluate_summary, format_summary_verdicts
-        from repro.serve.telemetry import fleet_summary_metrics
-
-        print("\n--- SLO verdicts ---\n")
-        print(slo_engine.format_verdicts())
-        summary_objectives = slo_engine.config.summary_objectives
-        if summary_objectives:
-            rows = evaluate_summary(
-                summary_objectives, fleet_summary_metrics(report)
-            )
-            print()
-            print(format_summary_verdicts(rows))
-    if args.obs:
-        from repro.recover.configio import serve_config_to_dict, service_model_to_dict
-
-        resolved = {
-            "kind": "serve",
-            "config": serve_config_to_dict(config),
-            "service": service_model_to_dict(service),
-        }
-        out_dir = resolve_obs_out(args.obs_out, "serve", resolved)
-        emit_obs_artifacts(obs, out_dir, top_k=args.obs_top)
-        if slo_engine is not None:
-            emit_slo_artifacts(slo_engine, out_dir)
+    report = run_cli(single_shard(config), service, args, parser, "serve")
+    if not isinstance(report, FleetReport):
+        return report  # simulated crash exit code
     if args.compare_sequential:
         baseline = serve_fleet(
-            config.sequential_baseline(), service=service, fleet=fleet
+            config.sequential_baseline(), service=service,
+            fleet=build_fleet(config),
         )
         print("\n--- sequential baseline (max_batch=1) ---\n")
         print(format_fleet_report(baseline, max_session_rows=args.max_session_rows))

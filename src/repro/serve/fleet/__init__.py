@@ -1,9 +1,11 @@
-"""Sharded serving fleet: consistent-hash routing, live session
-migration, and shard failover under chaos.
+"""The serving fleet: consistent-hash routing, live session migration,
+and shard failover under chaos.
 
-The package scales the single :class:`~repro.serve.runtime.ServeRuntime`
-event loop out to N shards behind a seeded consistent-hash ring while
-keeping the repo's two core guarantees intact:
+The fleet is the repo's one serving runtime.  It runs N
+:class:`~repro.serve.fleet.shard.ShardRuntime` event cores behind a
+seeded consistent-hash ring (``python -m repro serve`` is a one-shard
+fleet; ``chaos`` is a one-shard fleet with a faults block) while keeping
+the repo's two core guarantees intact:
 
 * **determinism** — one merged global event order (control events, then
   shards by id) makes two same-config runs byte-identical, and the full
@@ -27,8 +29,8 @@ from repro.serve.fleet.config import (
 )
 from repro.serve.fleet.report import FleetLog, FleetSection, NetSection
 from repro.serve.fleet.ring import HashRing
-from repro.serve.fleet.runtime import FleetRuntime, run_fleet
-from repro.serve.fleet.shard import MigrationPayload, ShardRuntime
+from repro.serve.fleet.runtime import FleetRuntime, run_fleet, serve_fleet
+from repro.serve.fleet.shard import InferenceFn, MigrationPayload, ShardRuntime
 from repro.serve.fleet.transport import FleetTransport, NetConfig
 
 __all__ = [
@@ -40,6 +42,7 @@ __all__ = [
     "FleetTransport",
     "GraySlow",
     "HashRing",
+    "InferenceFn",
     "LinkProfile",
     "MigrationPayload",
     "NetConfig",
@@ -52,4 +55,5 @@ __all__ = [
     "planned_migrations",
     "rebalance_ticks",
     "run_fleet",
+    "serve_fleet",
 ]

@@ -147,11 +147,6 @@ def resolve_run_config(params: dict) -> dict:
     ``[{"at_s", "session_id", "to_shard"?}, ...]``, and ``failover`` /
     ``rebalancer`` sub-dicts.
     """
-    from repro.recover.configio import (
-        fleet_config_to_dict,
-        service_model_to_dict,
-    )
-
     params = dict(params)
     try:
         service = BatchServiceModel(**params.pop("service", {}))
@@ -169,6 +164,7 @@ def resolve_run_config(params: dict) -> dict:
         raise ValueError(f"bad fleet params: {err}") from err
     known = {f.name for f in fields(FleetConfig)} - {
         "serve", "kills", "migrations", "failover", "rebalancer", "net",
+        "faults",
     }
     unknown = sorted(set(params) - known)
     if unknown:
@@ -184,6 +180,37 @@ def resolve_run_config(params: dict) -> dict:
         net=net,
         **params,
     )
+    return resolved_config(config, service)
+
+
+def runtime_from_resolved(resolved: dict, obs=None) -> FleetRuntime:
+    """The runtime of one resolved config (``{"kind": "fleet", "config",
+    "service"}``) — what the ``serve``, ``chaos`` and ``fleet`` campaign
+    runners and the recover probe execute."""
+    from repro.recover.configio import (
+        fleet_config_from_dict,
+        service_model_from_dict,
+    )
+
+    return FleetRuntime(
+        fleet_config_from_dict(resolved["config"]),
+        service=service_model_from_dict(resolved["service"]),
+        obs=obs,
+    )
+
+
+def run_from_config(params: dict, obs=None) -> FleetReport:
+    """Campaign entry point: params dict -> the run's FleetReport."""
+    return runtime_from_resolved(resolve_run_config(params), obs=obs).run()
+
+
+def resolved_config(config: FleetConfig, service: BatchServiceModel) -> dict:
+    """The canonical ``{"kind": "fleet", ...}`` dict of one run."""
+    from repro.recover.configio import (
+        fleet_config_to_dict,
+        service_model_to_dict,
+    )
+
     return {
         "kind": "fleet",
         "config": fleet_config_to_dict(config),
@@ -191,22 +218,75 @@ def resolve_run_config(params: dict) -> dict:
     }
 
 
-def run_from_config(params: dict, obs=None) -> FleetReport:
-    """Campaign entry point: params dict -> the run's FleetReport."""
-    from repro.recover.configio import (
-        fleet_config_from_dict,
-        service_model_from_dict,
-    )
-
-    resolved = resolve_run_config(params)
-    config = fleet_config_from_dict(resolved["config"])
-    service = service_model_from_dict(resolved["service"])
-    return run_fleet(config, service=service, obs=obs)
-
-
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
+def run_cli(
+    config: FleetConfig,
+    service: BatchServiceModel,
+    args: argparse.Namespace,
+    parser: argparse.ArgumentParser,
+    name: str,
+):
+    """The run shared by the ``serve``, ``chaos`` and ``fleet`` CLIs.
+
+    Honours the shared checkpoint / obs / SLO flags, prints the report
+    (plus SLO verdicts) and writes the obs artifacts under
+    ``obs-out/<name>-<config-hash>`` by default.  Returns the
+    :class:`FleetReport`, or ``EXIT_SIMULATED_CRASH`` when
+    ``--kill-at-event`` fired.
+    """
+    if args.kill_at_event is not None and args.checkpoint_dir is None:
+        parser.error("--kill-at-event requires --checkpoint-dir")
+    if args.slo is not None and args.checkpoint_dir is not None:
+        parser.error("--slo and --checkpoint-dir are mutually exclusive "
+                     "(the SLO engine is not checkpointed)")
+    obs = obs_from_args(args)
+    slo_engine = None
+    if args.slo is not None:
+        from repro.obs.config import Obs, ObsConfig
+        from repro.obs.slo import SloConfigError, SloEngine, resolve_slo_config
+
+        if obs is None:
+            obs = Obs(ObsConfig(top_k=args.obs_top))
+        try:
+            slo_config = resolve_slo_config(args.slo, config.serve.deadline_s)
+        except SloConfigError as err:
+            parser.error(str(err))
+        slo_engine = SloEngine(slo_config, obs)
+    runtime = FleetRuntime(config, service=service, obs=obs)
+    if args.checkpoint_dir is not None:
+        report = run_checkpointed_cli(runtime, args, parser)
+        if not isinstance(report, FleetReport):
+            return report
+    else:
+        if slo_engine is not None:
+            runtime.attach_slo(slo_engine)
+        report = runtime.run()
+    print(format_fleet_report(report, max_session_rows=args.max_session_rows))
+    if slo_engine is not None:
+        from repro.obs.slo import evaluate_summary, format_summary_verdicts
+        from repro.serve.telemetry import fleet_summary_metrics
+
+        print("\n--- SLO verdicts ---\n")
+        print(slo_engine.format_verdicts())
+        summary_objectives = slo_engine.config.summary_objectives
+        if summary_objectives:
+            rows = evaluate_summary(
+                summary_objectives, fleet_summary_metrics(report)
+            )
+            print()
+            print(format_summary_verdicts(rows))
+    if args.obs:
+        out_dir = resolve_obs_out(
+            args.obs_out, name, resolved_config(config, service)
+        )
+        emit_obs_artifacts(obs, out_dir, top_k=args.obs_top)
+        if slo_engine is not None:
+            emit_slo_artifacts(slo_engine, out_dir)
+    return report
+
+
 def build_parser() -> argparse.ArgumentParser:
     serve = ServeConfig()
     fleet = FleetConfig()
@@ -397,63 +477,9 @@ def main(argv: "list[str] | None" = None) -> int:
     if args.compare_no_fault and not config.net.enabled:
         parser.error("--compare-no-fault requires the net transport "
                      "(--net, --partition, or --gray-shard)")
-    if args.kill_at_event is not None and args.checkpoint_dir is None:
-        parser.error("--kill-at-event requires --checkpoint-dir")
-    if args.slo is not None and args.checkpoint_dir is not None:
-        parser.error("--slo and --checkpoint-dir are mutually exclusive "
-                     "(the SLO engine is not checkpointed)")
-    obs = obs_from_args(args)
-    slo_engine = None
-    if args.slo is not None:
-        from repro.obs.config import Obs, ObsConfig
-        from repro.obs.slo import SloConfigError, SloEngine, resolve_slo_config
-
-        if obs is None:
-            obs = Obs(ObsConfig(top_k=args.obs_top))
-        try:
-            slo_config = resolve_slo_config(args.slo, config.serve.deadline_s)
-        except SloConfigError as err:
-            parser.error(str(err))
-        slo_engine = SloEngine(slo_config, obs)
-    if args.checkpoint_dir is not None:
-        runtime = FleetRuntime(config, obs=obs)
-        report = run_checkpointed_cli(runtime, args, parser)
-        if not isinstance(report, FleetReport):
-            return report  # simulated crash exit code
-    else:
-        runtime = FleetRuntime(config, obs=obs)
-        if slo_engine is not None:
-            runtime.attach_slo(slo_engine)
-        report = runtime.run()
-    print(format_fleet_report(report, max_session_rows=args.max_session_rows))
-    if slo_engine is not None:
-        from repro.obs.slo import evaluate_summary, format_summary_verdicts
-        from repro.serve.telemetry import fleet_summary_metrics
-
-        print("\n--- SLO verdicts ---\n")
-        print(slo_engine.format_verdicts())
-        summary_objectives = slo_engine.config.summary_objectives
-        if summary_objectives:
-            rows = evaluate_summary(
-                summary_objectives, fleet_summary_metrics(report)
-            )
-            print()
-            print(format_summary_verdicts(rows))
-    if args.obs:
-        from repro.recover.configio import (
-            fleet_config_to_dict,
-            service_model_to_dict,
-        )
-
-        resolved = {
-            "kind": "fleet",
-            "config": fleet_config_to_dict(config),
-            "service": service_model_to_dict(BatchServiceModel()),
-        }
-        out_dir = resolve_obs_out(args.obs_out, "fleet", resolved)
-        emit_obs_artifacts(obs, out_dir, top_k=args.obs_top)
-        if slo_engine is not None:
-            emit_slo_artifacts(slo_engine, out_dir)
+    report = run_cli(config, BatchServiceModel(), args, parser, "fleet")
+    if not isinstance(report, FleetReport):
+        return report  # simulated crash exit code
     if args.compare_no_kill:
         from dataclasses import replace
 

@@ -1,6 +1,6 @@
 """Configuration of one sharded fleet simulation.
 
-A :class:`FleetConfig` wraps the single-runtime :class:`ServeConfig` as
+A :class:`FleetConfig` wraps the per-shard :class:`ServeConfig` as
 a *template*: ``serve.n_sessions`` is the **fleet-total** session count
 (sessions are placed on shards by the consistent-hash ring), while the
 worker-pool and batching knobs (``n_workers``, ``max_batch``, ...) apply
@@ -20,13 +20,20 @@ total.  On top of the template sit the fleet-only knobs:
 * **net** — the simulated lossy router<->shard transport
   (:class:`~repro.serve.fleet.transport.NetConfig`): seeded drop /
   duplicate / delay distributions, partition and gray-slow windows,
-  ack/retransmit protocol knobs, and the heartbeat failure detector.
+  ack/retransmit protocol knobs, and the heartbeat failure detector;
+* **faults** — an optional :class:`~repro.faults.config.FaultsConfig`
+  block (input faults, worker faults, recovery, watchdog, soft errors).
+  A fault run is a *static one-shard* fleet: the block is refused
+  together with ``n_shards > 1``, kills, migrations, the rebalancer or
+  the net transport, because per-session watchdog/SDC state does not
+  migrate and worker fault schedules name the workers of a single pool.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -34,6 +41,9 @@ from repro.faults.injectors import ShardKill
 from repro.serve.config import ServeConfig
 from repro.serve.fleet.transport import NetConfig
 from repro.utils.validation import check_positive
+
+if TYPE_CHECKING:
+    from repro.faults.config import FaultsConfig
 
 
 @dataclass(frozen=True)
@@ -140,11 +150,14 @@ class FleetConfig:
     failover: FailoverConfig = field(default_factory=FailoverConfig)
     rebalancer: RebalancerConfig = field(default_factory=RebalancerConfig)
     net: NetConfig = field(default_factory=NetConfig)
+    faults: "FaultsConfig | None" = None
 
     def __post_init__(self) -> None:
         check_positive("n_shards", self.n_shards)
         check_positive("vnodes", self.vnodes)
         check_positive("migration_rate_hz", self.migration_rate_hz, strict=False)
+        if self.faults is not None:
+            self._check_faults()
         killed = [k.shard_id for k in self.kills]
         if len(set(killed)) != len(killed):
             raise ValueError(f"duplicate shard ids in kill schedule: {killed}")
@@ -192,6 +205,31 @@ class FleetConfig:
                     raise ValueError(
                         f"gray-slow window names shard {window.shard_id} "
                         f"but the fleet starts with {self.n_shards} shards"
+                    )
+
+    def _check_faults(self) -> None:
+        topology = {
+            "n_shards>1": self.n_shards > 1,
+            "kills": bool(self.kills),
+            "migrations": bool(self.migrations) or self.migration_rate_hz > 0,
+            "rebalancer": self.rebalancer.enabled,
+            "net": self.net.enabled,
+        }
+        for name, present in topology.items():
+            if present:
+                raise ValueError(
+                    f"faults x {name} is refused: a faults block runs on "
+                    "one static shard — per-session watchdog/SDC state "
+                    "does not migrate, and worker fault schedules name the "
+                    "workers of a single pool"
+                )
+        schedule = self.faults.worker_faults
+        for what, faults in (("crash", schedule.crashes), ("stall", schedule.stalls)):
+            for fault in faults:
+                if fault.worker_id >= self.serve.n_workers:
+                    raise ValueError(
+                        f"{what} targets worker {fault.worker_id} but the "
+                        f"pool has {self.serve.n_workers} workers"
                     )
 
     @property

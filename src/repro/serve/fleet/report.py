@@ -5,7 +5,7 @@ The :class:`FleetLog` accumulates what the fleet controller *did*
 ``finish()`` it is frozen, together with per-shard rows, into a
 :class:`FleetSection` attached to the ordinary
 :class:`~repro.serve.telemetry.FleetReport`.  The section is duck-typed
-(``state_dict()`` / ``format()`` / ``summary()``) so the single-runtime
+(``state_dict()`` / ``format()`` / ``summary()``) so the generic
 telemetry module renders and serializes it without importing this
 package.  Net-transport runs additionally freeze the
 :class:`~repro.serve.fleet.transport.FleetTransport`'s protocol counters

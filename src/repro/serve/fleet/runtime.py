@@ -25,6 +25,11 @@ The runtime speaks the full ``repro.recover`` protocol (``start`` /
 ``peek_event`` / ``step`` / ``finish`` / ``state_dict`` / ``load_state``
 with ``RUNTIME_KIND = "fleet"``), so whole-fleet checkpoint / kill /
 restore reproduces the uninterrupted run's report byte-for-byte.
+
+The fleet is the only serving runtime: ``python -m repro serve`` is a
+one-shard fleet (:func:`serve_fleet`), and a config carrying a faults
+block (``FleetConfig.faults``) runs its one shard as the fault-aware
+:class:`~repro.faults.runtime.ChaosRuntime`.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from __future__ import annotations
 import heapq
 
 from repro.obs import NULL_OBS, Obs, PID_FLEET, PID_NET
-from repro.serve.config import BatchServiceModel
+from repro.serve.config import BatchServiceModel, ServeConfig
 from repro.serve.fleet.config import (
     FleetConfig,
     planned_migrations,
@@ -40,14 +45,14 @@ from repro.serve.fleet.config import (
 )
 from repro.serve.fleet.report import FleetLog, FleetSection, NetSection
 from repro.serve.fleet.ring import HashRing
-from repro.serve.fleet.shard import ShardRuntime
+from repro.serve.fleet.shard import InferenceFn, ShardRuntime
 from repro.serve.fleet.transport import (
     FleetTransport,
     K_NET_DETECT,
     K_NET_HEARTBEAT,
     K_NET_SEND,
 )
-from repro.serve.request import build_fleet, fleet_requests
+from repro.serve.request import ClientSession, build_fleet, fleet_requests
 from repro.serve.telemetry import FleetReport, SessionStats, publish_fleet_metrics
 
 # Control-event kinds.  Journal/peek encoding keeps them disjoint from
@@ -70,15 +75,34 @@ class FleetRuntime:
         self,
         config: FleetConfig,
         service: "BatchServiceModel | None" = None,
+        inference: "InferenceFn | None" = None,
         obs: "Obs | None" = None,
+        sessions: "list[ClientSession] | None" = None,
     ):
         self.config = config
         self.service = service if service is not None else BatchServiceModel()
+        self.inference = inference
         self.obs = obs if obs is not None else NULL_OBS
         #: The whole fleet's sessions, indexed by session id — a pure
-        #: function of the serve template, shared by placement and
-        #: restore.
-        self.sessions = build_fleet(config.serve)
+        #: function of the config (input faults included), shared by
+        #: placement and restore.  ``sessions`` overrides it with a
+        #: prebuilt fleet of the same size.
+        self._traces = None
+        if config.faults is not None:
+            if sessions is not None:
+                raise ValueError("a faults block builds its own faulted fleet")
+            # Imported on use: repro.faults itself imports the serving stack.
+            from repro.faults.runtime import build_chaos_fleet
+
+            sessions, self._traces = build_chaos_fleet(config.serve, config.faults)
+        elif sessions is None:
+            sessions = build_fleet(config.serve)
+        if len(sessions) != config.serve.n_sessions:
+            raise ValueError(
+                f"fleet has {len(sessions)} sessions, "
+                f"config says {config.serve.n_sessions}"
+            )
+        self.sessions = list(sessions)
         self.ring = HashRing(vnodes=config.vnodes, seed=config.ring_seed)
         self.shards: dict[int, ShardRuntime] = {}
         self._next_shard_id = 0
@@ -114,26 +138,55 @@ class FleetRuntime:
                 )
 
     def attach_slo(self, engine) -> None:
-        """Attach an online SLO engine, evaluated on the fleet's merged
-        sim clock (see :meth:`repro.serve.runtime.ServeRuntime.attach_slo`)."""
+        """Attach a :class:`repro.obs.slo.SloEngine`, ticked on the
+        fleet's merged sim clock after every event and finalized with
+        the report.
+
+        The engine reads the live instruments, so observability must be
+        enabled; it is evaluated at fixed sim-clock boundaries, keeping
+        the run (and its alert stream) deterministic.  A PAGE reaches
+        every alive shard (:meth:`ShardRuntime.on_slo_page`).
+        """
         if not self.obs.enabled:
             raise ValueError("attach_slo requires an enabled Obs bundle")
         self.slo = engine
+        engine.on_page = self._on_slo_page
+
+    def _on_slo_page(self, objective, now_s: float) -> None:
+        for shard in self._alive_shards():
+            shard.on_slo_page(objective, now_s)
 
     # ------------------------------------------------------------------
     # Topology
     # ------------------------------------------------------------------
+    def _make_shard(self, shard_id: int, sessions) -> ShardRuntime:
+        # Shards record on their own namespaced tracks — unless the
+        # topology is static with one shard (serve / chaos), which keeps
+        # the plain tracks: there is no second shard to keep apart.
+        static = self.config.n_shards == 1 and not self.config.rebalancer.enabled
+        kwargs = dict(
+            sessions=sessions,
+            service=self.service,
+            obs=self.obs if static else self.obs.scoped(shard_id),
+            failover=self.config.failover,
+            inference=self.inference,
+        )
+        if self.config.faults is None:
+            return ShardRuntime(shard_id, self.config.serve, **kwargs)
+        from repro.faults.runtime import ChaosRuntime
+
+        # Fault runs are single-shard (FleetConfig refuses otherwise):
+        # the one shard holds, and indexes by id, the whole fleet.
+        kwargs["sessions"] = self.sessions
+        return ChaosRuntime(
+            shard_id, self.config.serve, faults=self.config.faults,
+            traces=self._traces, **kwargs,
+        )
+
     def _new_shard(self, sessions, spawned_at_s: "float | None") -> ShardRuntime:
         shard_id = self._next_shard_id
         self._next_shard_id += 1
-        shard = ShardRuntime(
-            shard_id,
-            self.config.serve,
-            sessions=sessions,
-            service=self.service,
-            obs=self.obs.scoped(shard_id),
-            failover=self.config.failover,
-        )
+        shard = self._make_shard(shard_id, sessions)
         shard.spawned_at_s = spawned_at_s
         self.shards[shard_id] = shard
         self.ring.add(shard_id)
@@ -243,61 +296,52 @@ class FleetRuntime:
     # ------------------------------------------------------------------
     # Merged event order
     # ------------------------------------------------------------------
-    def _next_source(self):
-        """``("control", t, kind, seq)`` or ``("shard", id, t, kind, seq)``
-        of the globally next event; None when everything is drained.
+    def _next_source(self) -> "tuple[ShardRuntime | None, float] | None":
+        """``(shard, time_s)`` of the globally next event — ``shard`` is
+        None for a control event; None when everything is drained.
 
-        Control events carry rank -1 so they precede shard events at the
-        same instant; shards tie-break by id.
+        Control events precede shard events at the same instant; shards
+        tie-break by id.  ``self.shards`` iterates in ascending id order
+        (ids are allocated increasing, and restore rebuilds the dict
+        sorted), so a later shard wins only on a strictly earlier time.
         """
-        best_key = None
-        best = None
-        if self._control:
-            time_s, seq, kind, _ = self._control[0]
-            best_key = (time_s, -1)
-            best = ("control", time_s, kind, seq)
-        for shard_id in sorted(self.shards):
-            head = self.shards[shard_id].peek_event()
-            if head is None:
-                continue
-            time_s, kind, seq = head
-            key = (time_s, shard_id)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = ("shard", shard_id, time_s, kind, seq)
-        return best
+        best, best_time = None, self._control[0][0] if self._control else None
+        for shard in self.shards.values():
+            heap = shard._heap
+            if heap and (best_time is None or heap[0][0] < best_time):
+                best, best_time = shard, heap[0][0]
+        return None if best_time is None else (best, best_time)
 
     def peek_event(self) -> "tuple[float, int, int] | None":
         """``(time_s, kind, seq)`` of the next event for the journal."""
         head = self._next_source()
         if head is None:
             return None
-        if head[0] == "control":
-            _, time_s, kind, seq = head
+        shard = head[0]
+        if shard is None:
+            time_s, seq, kind, _ = self._control[0]
             return (time_s, kind, seq)
-        _, shard_id, time_s, kind, seq = head
-        return (time_s, (shard_id + 1) * _SHARD_KIND_STRIDE + kind, seq)
+        time_s, kind, seq = shard.peek_event()
+        return (time_s, (shard.shard_id + 1) * _SHARD_KIND_STRIDE + kind, seq)
 
     def step(self) -> bool:
         """Apply the globally next event; False once everything drained."""
         head = self._next_source()
         if head is None:
             return False
-        if head[0] == "control":
-            now, _, kind, payload = heapq.heappop(self._control)
+        shard, now_s = head
+        if shard is None:
+            _, _, kind, payload = heapq.heappop(self._control)
             if kind < 0:
-                self.transport.handle(self, kind, payload, now)
+                self.transport.handle(self, kind, payload, now_s)
             elif kind == _K_KILL:
-                self._apply_kill(payload["shard"], now)
+                self._apply_kill(payload["shard"], now_s)
             elif kind == _K_MIGRATE:
-                self._apply_migration(payload, now)
+                self._apply_migration(payload, now_s)
             else:
-                self._apply_rebalance(now)
-            now_s = now
+                self._apply_rebalance(now_s)
         else:
-            shard = self.shards[head[1]]
             shard.step()
-            now_s = head[2]
         self.events_processed += 1
         if self.slo is not None:
             self.slo.maybe_evaluate(now_s)
@@ -625,7 +669,7 @@ class FleetRuntime:
     # ------------------------------------------------------------------
     def finish(self) -> FleetReport:
         """Merge shard telemetry into one report; enforce conservation."""
-        head = self._next_source()
+        head = self.peek_event()
         if head is not None:
             raise RuntimeError(f"finish() with events still pending: {head}")
         if self.transport is not None and self.transport.pending:
@@ -647,7 +691,8 @@ class FleetRuntime:
             for request in shard.batcher.drain():
                 shard.stats[request.session_id].record_pending(request.path)
             shard.batcher.check_accounting()
-            merged.extend(shard._stats_values())
+            if not shard.stats_shared:
+                merged.extend(shard.stats.values())
             for size, count in shard.pool.batch_occupancy.items():
                 occupancy[size] = occupancy.get(size, 0) + count
             utilization = shard.pool.utilization(duration)
@@ -672,13 +717,17 @@ class FleetRuntime:
                 }
             )
         if self.transport is not None:
-            # Shared-ledger mode: every shard's _stats_values() is empty
-            # (stats_shared); the fleet owns the one merged ledger.
+            # Shared-ledger mode: the fleet owns the one merged ledger.
             merged = [
                 self._net_stats[sid] for sid in sorted(self._net_stats)
             ]
         merged.sort(key=lambda stats: stats.session_id)
         self._check_conservation(merged)
+        predictions = None
+        if self.inference is not None:
+            predictions = {}
+            for sid in shard_ids:
+                predictions.update(self.shards[sid].predictions)
         total_batches = sum(occupancy.values())
         mean_batch = (
             sum(size * count for size, count in occupancy.items())
@@ -705,14 +754,18 @@ class FleetRuntime:
             duration_s=duration,
             deadline_s=self.config.serve.deadline_s,
             batch_occupancy=occupancy,
+            # One shard reports its own pool figure unscaled, exactly.
             worker_utilization=(
-                busy_workers / total_workers if total_workers else 0.0
+                rows[0]["utilization"]
+                if len(rows) == 1
+                else busy_workers / total_workers
             ),
             mean_batch_size=mean_batch,
             n_workers=total_workers,
             max_batch=self.config.serve.max_batch,
-            predictions=None,
-            faults=None,
+            predictions=predictions,
+            # Fault runs are single-shard: shard 0 carries the telemetry.
+            faults=self.shards[0].fault_report(),
             shards=section,
             net=net_section,
         )
@@ -819,14 +872,7 @@ class FleetRuntime:
         for entry in state["shards"]:
             shard_id = int(entry["shard_id"])
             sessions = [self.sessions[int(sid)] for sid in entry["sessions"]]
-            shard = ShardRuntime(
-                shard_id,
-                self.config.serve,
-                sessions=sessions,
-                service=self.service,
-                obs=self.obs.scoped(shard_id),
-                failover=self.config.failover,
-            )
+            shard = self._make_shard(shard_id, sessions)
             shard.load_state(entry["state"])
             self.shards[shard_id] = shard
         if self.transport is not None:
@@ -847,27 +893,42 @@ class FleetRuntime:
         cls,
         directory,
         service: "BatchServiceModel | None" = None,
-        inference=None,
+        inference: "InferenceFn | None" = None,
         obs: "Obs | None" = None,
-    ):
-        """Warm-restart whatever runtime the checkpoint in ``directory``
-        holds — a sharded fleet, or (for checkpoints written before the
-        fleet existed, when ``FleetRuntime`` aliased ``ServeRuntime``) a
-        single-shard serve/chaos runtime.  Compatibility contract: old
-        call sites keep working against old checkpoints.
-        """
+    ) -> "FleetRuntime":
+        """Warm-restart from the latest valid checkpoint in ``directory``
+        (see :func:`repro.recover.restore_runtime` for the contract)."""
         from repro.recover.manager import restore_runtime
 
-        restored = restore_runtime(
+        return restore_runtime(
             directory, service=service, inference=inference, obs=obs
-        )
-        return restored.runtime
+        ).runtime
 
 
 def run_fleet(
     config: FleetConfig,
     service: "BatchServiceModel | None" = None,
+    inference: "InferenceFn | None" = None,
     obs: "Obs | None" = None,
 ) -> FleetReport:
-    """Run one sharded fleet simulation and return its report."""
-    return FleetRuntime(config, service=service, obs=obs).run()
+    """Run one fleet simulation and return its report."""
+    return FleetRuntime(
+        config, service=service, inference=inference, obs=obs
+    ).run()
+
+
+def serve_fleet(
+    config: ServeConfig,
+    service: "BatchServiceModel | None" = None,
+    inference: "InferenceFn | None" = None,
+    fleet: "list[ClientSession] | None" = None,
+    obs: "Obs | None" = None,
+) -> FleetReport:
+    """Serve ``config`` on a one-shard fleet and return its report."""
+    return FleetRuntime(
+        FleetConfig(serve=config, n_shards=1),
+        service=service,
+        inference=inference,
+        obs=obs,
+        sessions=fleet,
+    ).run()

@@ -154,11 +154,8 @@ class SessionStats:
         self.degraded = int(state["degraded"])
         self.pending = int(state["pending"])
         self.lost_input = int(state["lost_input"])
-        # Checkpoints from before the sharded fleet predate this bucket;
-        # a single-runtime run cannot lose frames to a shard kill.
-        self.lost_shard = int(state.get("lost_shard", 0))
-        # Likewise pre-transport checkpoints predate the net bucket.
-        self.lost_net = int(state.get("lost_net", 0))
+        self.lost_shard = int(state["lost_shard"])
+        self.lost_net = int(state["lost_net"])
         self.counts = {str(k): int(v) for k, v in state["counts"].items()}
 
     @property
@@ -170,7 +167,8 @@ class SessionStats:
 class FaultReport:
     """Fault-injection and degradation telemetry of one chaos run.
 
-    Populated by ``repro.faults.ChaosRuntime``; attached to the
+    Populated by the fault-aware shard (``repro.faults.ChaosRuntime``);
+    attached to the
     :class:`FleetReport` so fault accounting travels with the serving
     numbers it explains.  Everything here is derived from seeded streams
     and deterministic event ordering — two runs of the same scenario
@@ -303,10 +301,10 @@ class FleetReport:
     max_batch: int
     predictions: "dict[tuple[int, int], np.ndarray] | None" = None
     faults: "FaultReport | None" = None
-    #: Sharded-fleet section (``repro.serve.fleet.FleetSection``): per-
-    #: shard rows plus the migration/failover/rebalance event log.  Duck-
-    #: typed (``state_dict()`` / ``format()``) so single-runtime reports
-    #: never import the fleet package; ``None`` outside fleet runs.
+    #: Fleet section (``repro.serve.fleet.FleetSection``): per-shard rows
+    #: plus the migration/failover/rebalance event log.  Duck-typed
+    #: (``state_dict()`` / ``format()``) so this module never imports the
+    #: fleet package; every runtime report carries one.
     shards: "object | None" = None
     #: Net-transport section (``repro.serve.fleet.NetSection``): protocol
     #: counters, detector transitions, detection latencies.  Duck-typed
@@ -435,8 +433,6 @@ def fleet_report_state(report: FleetReport) -> dict:
         "max_batch": report.max_batch,
         "predictions": predictions,
         "faults": None if report.faults is None else report.faults.state_dict(),
-        # Key present only on fleet runs so single-runtime report bytes
-        # (and every pinned byte-diff built on them) are unchanged.
         **(
             {}
             if report.shards is None

@@ -7,20 +7,24 @@ from dataclasses import replace
 import pytest
 
 from repro.faults import (
-    ChaosConfig,
-    ChaosRuntime,
+    FaultsConfig,
     InputFaultConfig,
     RecoveryConfig,
     WorkerCrash,
     WorkerFaultSchedule,
     WorkerStall,
     default_chaos_scenario,
-    run_chaos,
 )
-from repro.serve import ServeConfig
+from repro.faults.cli import fault_free
+from repro.serve import FleetConfig, FleetRuntime, ServeConfig, run_fleet
 
 
-def small_config(**overrides) -> ChaosConfig:
+def chaos_config(serve: ServeConfig, **faults) -> FleetConfig:
+    """A one-shard fleet carrying a faults block."""
+    return FleetConfig(serve=serve, n_shards=1, faults=FaultsConfig(**faults))
+
+
+def small_config(**overrides) -> FleetConfig:
     serve = ServeConfig(
         n_sessions=6,
         duration_s=0.8,
@@ -28,12 +32,12 @@ def small_config(**overrides) -> ChaosConfig:
         reuse_displacement_deg=0.3,
         seed=3,
     )
-    defaults = dict(serve=serve, fault_seed=3)
+    defaults = dict(fault_seed=3)
     defaults.update(overrides)
-    return ChaosConfig(**defaults)
+    return chaos_config(serve, **defaults)
 
 
-def assert_conservation(config: ChaosConfig, report) -> None:
+def assert_conservation(config: FleetConfig, report) -> None:
     """Every generated frame must land in exactly one terminal bucket."""
     expected = config.serve.n_sessions * config.serve.frames_per_session
     assert report.total_frames == expected
@@ -47,7 +51,7 @@ def assert_conservation(config: ChaosConfig, report) -> None:
 class TestConservation:
     def test_fault_free_chaos_accounts_every_frame(self):
         config = small_config()
-        report = run_chaos(config)
+        report = run_fleet(config)
         assert_conservation(config, report)
         assert report.lost_input_frames == 0
         assert report.faults.batch_failures == 0
@@ -56,7 +60,7 @@ class TestConservation:
         config = small_config(
             input_faults=InputFaultConfig(frame_drop_rate=0.25)
         )
-        report = run_chaos(config)
+        report = run_fleet(config)
         assert_conservation(config, report)
         assert report.lost_input_frames > 0
         assert report.lost_input_frames == report.faults.input_dropped
@@ -67,12 +71,13 @@ class TestConservation:
                 stalls=(WorkerStall(worker_id=0, start_s=0.2, stop_s=0.4),)
             )
         )
-        runtime = ChaosRuntime(config)
+        runtime = FleetRuntime(config)
         report = runtime.run()
-        assert len(runtime.batcher) == 0
+        batcher = runtime.shards[0].batcher
+        assert len(batcher) == 0
         assert (
-            runtime.batcher.admitted_total + runtime.batcher.requeued_total
-            == runtime.batcher.taken_total
+            batcher.admitted_total + batcher.requeued_total
+            == batcher.taken_total
         )
         assert_conservation(config, report)
 
@@ -85,7 +90,7 @@ class TestRecovery:
             ),
             recovery=RecoveryConfig(breaker_threshold=2, breaker_cooldown_s=0.1),
         )
-        report = run_chaos(config)
+        report = run_fleet(config)
         faults = report.faults
         assert faults.worker_stall_timeouts > 0
         assert faults.breaker_opens >= 1
@@ -105,15 +110,15 @@ class TestRecovery:
             deadline_frames=10.0,  # 100 ms budget
             seed=3,
         )
-        config = ChaosConfig(
-            serve=serve,
+        config = chaos_config(
+            serve,
             worker_faults=WorkerFaultSchedule(
                 stalls=(WorkerStall(worker_id=0, start_s=0.3, stop_s=0.5),)
             ),
             recovery=RecoveryConfig(dispatch_timeout_s=5e-3, max_retries=3),
             fault_seed=3,
         )
-        report = run_chaos(config)
+        report = run_fleet(config)
         faults = report.faults
         assert faults.retries_scheduled > 0
         assert faults.frames_requeued == faults.retries_scheduled
@@ -129,14 +134,14 @@ class TestRecovery:
             reuse_displacement_deg=0.3,
             seed=5,
         )
-        config = ChaosConfig(
-            serve=serve,
+        config = chaos_config(
+            serve,
             worker_faults=WorkerFaultSchedule(
                 crashes=(WorkerCrash(worker_id=0, at_s=0.3, down_s=0.2),)
             ),
             fault_seed=5,
         )
-        report = run_chaos(config)
+        report = run_fleet(config)
         assert_conservation(config, report)
         assert report.pending_at_shutdown == 0
 
@@ -148,7 +153,7 @@ class TestRecovery:
                 occlusion_level=(0.95, 1.0),
             )
         )
-        report = run_chaos(config)
+        report = run_fleet(config)
         assert report.faults.occluded_frames > 0
         assert_conservation(config, report)
 
@@ -156,8 +161,8 @@ class TestRecovery:
 class TestDeterminism:
     def test_same_seed_bitwise_identical_fault_telemetry(self):
         config = default_chaos_scenario(seed=1)
-        first = run_chaos(config)
-        second = run_chaos(config)
+        first = run_fleet(config)
+        second = run_fleet(config)
         assert first.faults == second.faults
         assert first.summary() == second.summary()
         for a, b in zip(first.sessions, second.sessions):
@@ -166,8 +171,8 @@ class TestDeterminism:
 
     def test_different_fault_seed_differs(self):
         base = default_chaos_scenario(seed=0)
-        other = replace(base, fault_seed=99)
-        assert run_chaos(base).faults != run_chaos(other).faults
+        other = replace(base, faults=replace(base.faults, fault_seed=99))
+        assert run_fleet(base).faults != run_fleet(other).faults
 
 
 @pytest.mark.chaos
@@ -180,11 +185,11 @@ class TestAcceptanceScenario:
 
     @pytest.fixture(scope="class")
     def report(self, scenario):
-        return run_chaos(scenario)
+        return run_fleet(scenario)
 
     @pytest.fixture(scope="class")
     def baseline(self, scenario):
-        return run_chaos(scenario.fault_free())
+        return run_fleet(fault_free(scenario))
 
     def test_zero_silently_dropped_frames(self, scenario, report):
         assert_conservation(scenario, report)
@@ -205,6 +210,6 @@ class TestAcceptanceScenario:
         assert faults.widened_delta_theta_deg > 2.92
 
     def test_telemetry_identical_across_two_runs(self, scenario, report):
-        again = run_chaos(scenario)
+        again = run_fleet(scenario)
         assert again.faults == report.faults
         assert again.summary() == report.summary()

@@ -4,15 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.faults import (
-    ChaosConfig,
-    ChaosRuntime,
-    WorkerFaultSchedule,
-    WorkerStall,
-)
+from repro.faults import FaultsConfig, WorkerFaultSchedule, WorkerStall
 from repro.obs import Obs, ObsConfig, PID_SLO
 from repro.obs.slo import SloEngine, parse_slo_config
-from repro.serve import ServeConfig
+from repro.serve import FleetConfig, FleetRuntime, ServeConfig
 from repro.system import DegradationLevel
 
 #: A latency objective strict enough that the stall below must page.
@@ -32,7 +27,7 @@ STRICT_LATENCY = {
 }
 
 
-def stall_config() -> ChaosConfig:
+def stall_config() -> FleetConfig:
     serve = ServeConfig(
         n_sessions=10,
         duration_s=1.0,
@@ -40,22 +35,22 @@ def stall_config() -> ChaosConfig:
         reuse_displacement_deg=0.3,
         seed=3,
     )
-    return ChaosConfig(
-        serve=serve,
+    faults = FaultsConfig(
         fault_seed=3,
         worker_faults=WorkerFaultSchedule(
             stalls=(WorkerStall(worker_id=0, start_s=0.3, stop_s=0.55),),
         ),
     )
+    return FleetConfig(serve=serve, n_shards=1, faults=faults)
 
 
 def run_with_slo(config_dict=STRICT_LATENCY):
     obs = Obs(ObsConfig())
-    runtime = ChaosRuntime(stall_config(), obs=obs)
+    fleet = FleetRuntime(stall_config(), obs=obs)
     engine = SloEngine(parse_slo_config(config_dict), obs)
-    runtime.attach_slo(engine)
-    report = runtime.run()
-    return runtime, engine, report
+    fleet.attach_slo(engine)
+    report = fleet.run()
+    return fleet.shards[0], engine, report
 
 
 class TestPageToWiden:
@@ -126,6 +121,6 @@ class TestPageToWiden:
     def test_attach_slo_requires_observed_runtime(self):
         obs = Obs(ObsConfig())
         engine = SloEngine(parse_slo_config(STRICT_LATENCY), obs)
-        runtime = ChaosRuntime(stall_config())  # no obs bundle
+        runtime = FleetRuntime(stall_config())  # no obs bundle
         with pytest.raises(ValueError, match="Obs bundle"):
             runtime.attach_slo(engine)

@@ -6,20 +6,15 @@ from dataclasses import replace
 
 import pytest
 
-from repro.faults import (
-    ChaosConfig,
-    ChaosRuntime,
-    SoftErrorConfig,
-    default_chaos_scenario,
-    run_chaos,
-)
-from repro.serve import ServeConfig
+from repro.faults import FaultsConfig, SoftErrorConfig, default_chaos_scenario
+from repro.faults.cli import fault_free
+from repro.serve import FleetConfig, FleetRuntime, ServeConfig, run_fleet
 from repro.serve.telemetry import format_fault_report
 
 SOFT = SoftErrorConfig(fit_per_mbit=600.0, acceleration=5e10, seed=3)
 
 
-def soft_config(**overrides) -> ChaosConfig:
+def soft_config(**overrides) -> FleetConfig:
     serve = ServeConfig(
         n_sessions=6,
         duration_s=1.0,
@@ -27,15 +22,16 @@ def soft_config(**overrides) -> ChaosConfig:
         reuse_displacement_deg=0.3,
         seed=3,
     )
-    defaults = dict(serve=serve, soft_errors=SOFT, fault_seed=3)
+    defaults = dict(soft_errors=SOFT, fault_seed=3)
     defaults.update(overrides)
-    return ChaosConfig(**defaults)
+    return FleetConfig(serve=serve, n_shards=1, faults=FaultsConfig(**defaults))
 
 
 class TestComposition:
     def test_soft_errors_compose_with_sensor_and_worker_faults(self):
-        config = replace(default_chaos_scenario(seed=0), soft_errors=SOFT)
-        report = run_chaos(config)
+        base = default_chaos_scenario(seed=0)
+        config = replace(base, faults=replace(base.faults, soft_errors=SOFT))
+        report = run_fleet(config)
         faults = report.faults
         # One merged report carries both fault families.
         assert faults.input_dropped > 0
@@ -46,7 +42,7 @@ class TestComposition:
         assert "silent data corruption" in text
 
     def test_counters_consistent(self):
-        report = run_chaos(soft_config())
+        report = run_fleet(soft_config())
         faults = report.faults
         assert faults.soft_errors_injected > 0
         assert (
@@ -57,29 +53,29 @@ class TestComposition:
 
     def test_default_scenario_has_no_soft_errors(self):
         config = default_chaos_scenario(seed=0)
-        assert not config.soft_errors.active
-        faults = run_chaos(config).faults
+        assert not config.faults.soft_errors.active
+        faults = run_fleet(config).faults
         assert faults.soft_errors_injected == 0
         assert faults.sdc_detected == 0
         assert "Soft errors:" not in format_fault_report(faults)
 
     def test_fault_free_disables_soft_errors(self):
-        config = soft_config().fault_free()
-        assert not config.soft_errors.active
-        assert run_chaos(config).faults.soft_errors_injected == 0
+        config = fault_free(soft_config())
+        assert not config.faults.soft_errors.active
+        assert run_fleet(config).faults.soft_errors_injected == 0
 
 
 class TestDeterminism:
     def test_same_seed_identical_soft_error_telemetry(self):
         config = soft_config()
-        first = run_chaos(config)
-        second = run_chaos(config)
+        first = run_fleet(config)
+        second = run_fleet(config)
         assert first.faults == second.faults
         assert first.summary() == second.summary()
 
     def test_soft_error_seed_changes_outcome(self):
-        base = run_chaos(soft_config()).faults
-        other = run_chaos(
+        base = run_fleet(soft_config()).faults
+        other = run_fleet(
             soft_config(soft_errors=replace(SOFT, seed=11))
         ).faults
         assert base != other
@@ -89,13 +85,13 @@ class TestSnapshot:
     def test_state_roundtrip_midrun(self):
         """SDC queues, persistent offsets, and guards all snapshot."""
         config = soft_config()
-        runtime = ChaosRuntime(config)
+        runtime = FleetRuntime(config)
         runtime.start()
         for _ in range(150):
             runtime.step()
         state = runtime.state_dict()
 
-        restored = ChaosRuntime(config)
+        restored = FleetRuntime(config)
         restored.load_state(state)
         assert restored.state_dict() == state
 
@@ -108,11 +104,11 @@ class TestSnapshot:
         )
 
         config = soft_config()
-        baseline = ChaosRuntime(config).run()
+        baseline = FleetRuntime(config).run()
         assert baseline.faults.soft_errors_injected > 0
         with pytest.raises(SimulatedCrash):
             run_with_checkpoints(
-                ChaosRuntime(config), tmp_path, every=60,
+                FleetRuntime(config), tmp_path, every=60,
                 kill=ProcessKill(at_event=200),
             )
         recovered = resume(tmp_path)

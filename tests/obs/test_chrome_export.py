@@ -15,7 +15,6 @@ from dataclasses import replace
 import pytest
 
 from repro.faults.config import default_chaos_scenario
-from repro.faults.runtime import run_chaos
 from repro.obs import (
     Obs,
     ObsConfig,
@@ -29,6 +28,7 @@ from repro.obs import (
     spans_jsonl,
     write_chrome_trace,
 )
+from repro.serve.fleet import run_fleet
 
 N_SESSIONS = 3
 N_WORKERS = 2
@@ -47,7 +47,7 @@ def traced_run(tmp_path_factory):
         ),
     )
     obs = Obs(ObsConfig())
-    report = run_chaos(chaos, obs=obs)
+    report = run_fleet(chaos, obs=obs)
     path = tmp_path_factory.mktemp("trace") / "trace.json"
     write_chrome_trace(obs.tracer, path)
     payload = json.loads(path.read_text())

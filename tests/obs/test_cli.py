@@ -11,7 +11,7 @@ from repro.obs import Obs, ObsConfig
 from repro.obs.cli import main as trace_main
 from repro.obs.lint import lint_prometheus, main as lint_main, validate_trace
 from repro.serve.config import ServeConfig
-from repro.serve.runtime import serve_fleet
+from repro.serve import serve_fleet
 
 
 class TestReadOnlyInvariant:

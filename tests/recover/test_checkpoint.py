@@ -124,6 +124,20 @@ class TestValidation:
         with pytest.raises(CheckpointError, match="upgrade repro"):
             store.load(7)
 
+    def test_version_1_manifest_refused(self, tmp_path):
+        store = CheckpointStore(tmp_path)
+        write_one(store)
+        manifest = store.manifest_path(7)
+        doc = json.loads(manifest.read_bytes())
+        doc["format_version"] = 1
+        manifest.write_text(canonical_json(doc))
+        with pytest.raises(
+            CheckpointError,
+            match=f"format version 1, older than the supported "
+            f"{CHECKPOINT_FORMAT_VERSION}",
+        ):
+            store.load(7)
+
     def test_event_index_mismatch(self, tmp_path):
         store = CheckpointStore(tmp_path)
         write_one(store)

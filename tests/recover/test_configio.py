@@ -16,8 +16,8 @@ import pytest
 from repro.faults.config import SoftErrorConfig, default_chaos_scenario
 from repro.recover.codec import canonical_json, config_hash
 from repro.recover.configio import (
-    chaos_config_from_dict,
-    chaos_config_to_dict,
+    fleet_config_from_dict,
+    fleet_config_to_dict,
     sdc_campaign_from_dict,
     sdc_campaign_to_dict,
     serve_config_from_dict,
@@ -78,27 +78,29 @@ class TestServiceModelRoundTrip:
 
 
 class TestChaosConfigRoundTrip:
+    """The chaos scenario: a one-shard fleet config with a faults block."""
+
     def test_round_trip_is_identity(self):
         config = default_chaos_scenario(seed=3)
-        restored = chaos_config_from_dict(chaos_config_to_dict(config))
+        restored = fleet_config_from_dict(fleet_config_to_dict(config))
         assert restored == config
 
     def test_occlusion_level_restored_as_tuple(self):
         config = default_chaos_scenario(seed=0)
-        state = json.loads(canonical_json(chaos_config_to_dict(config)))
-        restored = chaos_config_from_dict(state)
-        assert isinstance(restored.input_faults.occlusion_level, tuple)
+        state = json.loads(canonical_json(fleet_config_to_dict(config)))
+        restored = fleet_config_from_dict(state)
+        assert isinstance(restored.faults.input_faults.occlusion_level, tuple)
 
     def test_missing_soft_errors_is_backward_compatible(self):
-        """Checkpoints written before the soft-error work have no
+        """Faults blocks resolved before the soft-error work have no
         ``soft_errors`` key; they must restore to the inactive config."""
-        state = chaos_config_to_dict(default_chaos_scenario(seed=0))
-        del state["soft_errors"]
-        restored = chaos_config_from_dict(state)
-        assert restored.soft_errors == SoftErrorConfig.inactive()
+        state = fleet_config_to_dict(default_chaos_scenario(seed=0))
+        del state["faults"]["soft_errors"]
+        restored = fleet_config_from_dict(state)
+        assert restored.faults.soft_errors == SoftErrorConfig.inactive()
 
     def test_hash_stable_under_dict_reordering(self):
-        state = chaos_config_to_dict(default_chaos_scenario(seed=5))
+        state = fleet_config_to_dict(default_chaos_scenario(seed=5))
         assert config_hash(_reordered(state)) == config_hash(state)
 
 
@@ -135,5 +137,5 @@ class TestJsonSurvival:
         assert config_hash(json.loads(canonical_json(state))) == config_hash(state)
 
     def test_chaos_hash_survives_json(self):
-        state = chaos_config_to_dict(default_chaos_scenario(seed=1))
+        state = fleet_config_to_dict(default_chaos_scenario(seed=1))
         assert config_hash(json.loads(canonical_json(state))) == config_hash(state)

@@ -2,19 +2,18 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.faults import ProcessKill, SimulatedCrash
 from repro.faults.injectors import ShardKill
 from repro.recover import (
     CheckpointStore,
-    RecoveryError,
     fleet_report_bytes,
     restore_runtime,
     resume,
     run_with_checkpoints,
 )
-from repro.recover.manager import build_runtime
 from repro.serve import ServeConfig
 from repro.serve.fleet import FleetConfig, FleetRuntime, run_fleet
 
@@ -82,15 +81,29 @@ class TestFleetCrashRecovery:
         assert isinstance(restored.runtime, FleetRuntime)
         assert restored.runtime.events_processed >= 300
 
-    def test_fleet_rejects_inference_override(self, tmp_path):
+    def test_fleet_restores_with_inference_hook(self, tmp_path):
+        def hook(batch):
+            return np.array([[r.session_id, r.frame_index * 1e-3] for r in batch])
+
+        config = chaos_fleet()
+        reference = run_fleet(config, inference=hook)
+        served = reference.served_predict_frames
+        # Every served predict frame got a prediction; the only extras
+        # are frames that were in flight on the killed shard.
+        assert served > 0
+        assert served <= len(reference.predictions)
+        assert len(reference.predictions) <= served + reference.lost_shard_frames
+        sessions = FleetRuntime(config).sessions
+        for (sid, frame), gaze in reference.predictions.items():
+            assert sessions[sid].decisions[frame] == "predict"
+            assert gaze.tolist() == [sid, frame * 1e-3]
         with pytest.raises(SimulatedCrash):
             run_with_checkpoints(
-                FleetRuntime(chaos_fleet()), tmp_path, every=100,
-                kill=ProcessKill(at_event=200),
+                FleetRuntime(config, inference=hook), tmp_path, every=100,
+                kill=ProcessKill(at_event=500),
             )
-        checkpoint, _ = CheckpointStore(tmp_path).latest_valid()
-        with pytest.raises(RecoveryError, match="inference hook"):
-            build_runtime(checkpoint, None, lambda batch: None, None)
+        report = resume(tmp_path, inference=hook)
+        assert fleet_report_bytes(report) == fleet_report_bytes(reference)
 
 
 class TestRecoverProbe:

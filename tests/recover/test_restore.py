@@ -8,7 +8,6 @@ from dataclasses import replace
 import pytest
 
 from repro.faults import ProcessKill, SimulatedCrash, default_chaos_scenario
-from repro.faults.runtime import ChaosRuntime
 from repro.recover import (
     JOURNAL_NAME,
     CheckpointStore,
@@ -20,11 +19,16 @@ from repro.recover import (
     resume,
     run_with_checkpoints,
 )
-from repro.serve import FleetRuntime, ServeConfig, ServeRuntime
+from repro.serve import FleetConfig, FleetRuntime, ServeConfig
 
 
 def serve_config() -> ServeConfig:
     return ServeConfig(n_sessions=6, duration_s=0.5, n_workers=2, seed=1)
+
+
+def serve_runtime(config: ServeConfig) -> FleetRuntime:
+    """The one-shard fleet that ``python -m repro serve`` runs."""
+    return FleetRuntime(FleetConfig(serve=config, n_shards=1))
 
 
 def chaos_config():
@@ -44,20 +48,20 @@ def crash_at(runtime, directory, kill_at: int, every: int = 60) -> None:
 class TestBitIdenticalRecovery:
     @pytest.mark.parametrize("kill_at", [5, 150, 314])  # early / mid / late (315 total)
     def test_serve_recovery_is_bit_identical(self, tmp_path, kill_at):
-        baseline = fleet_report_bytes(ServeRuntime(serve_config()).run())
-        crash_at(ServeRuntime(serve_config()), tmp_path, kill_at)
+        baseline = fleet_report_bytes(serve_runtime(serve_config()).run())
+        crash_at(serve_runtime(serve_config()), tmp_path, kill_at)
         assert fleet_report_bytes(resume(tmp_path)) == baseline
 
     @pytest.mark.parametrize("kill_at", [8, 130, 260])
     def test_chaos_recovery_is_bit_identical(self, tmp_path, kill_at):
-        baseline = fleet_report_bytes(ChaosRuntime(chaos_config()).run())
-        crash_at(ChaosRuntime(chaos_config()), tmp_path, kill_at)
+        baseline = fleet_report_bytes(FleetRuntime(chaos_config()).run())
+        crash_at(FleetRuntime(chaos_config()), tmp_path, kill_at)
         assert fleet_report_bytes(resume(tmp_path)) == baseline
 
     def test_double_crash_recovery(self, tmp_path):
         """Crash, resume, crash again, resume again — still bit-identical."""
-        baseline = fleet_report_bytes(ServeRuntime(serve_config()).run())
-        crash_at(ServeRuntime(serve_config()), tmp_path, 100)
+        baseline = fleet_report_bytes(serve_runtime(serve_config()).run())
+        crash_at(serve_runtime(serve_config()), tmp_path, 100)
         restored = restore_runtime(tmp_path)
         with pytest.raises(SimulatedCrash):
             run_with_checkpoints(
@@ -67,8 +71,8 @@ class TestBitIdenticalRecovery:
         assert fleet_report_bytes(resume(tmp_path)) == baseline
 
     def test_fleet_runtime_restore_classmethod(self, tmp_path):
-        baseline = fleet_report_bytes(ServeRuntime(serve_config()).run())
-        crash_at(ServeRuntime(serve_config()), tmp_path, 90)
+        baseline = fleet_report_bytes(serve_runtime(serve_config()).run())
+        crash_at(serve_runtime(serve_config()), tmp_path, 90)
         runtime = FleetRuntime.restore(tmp_path)
         while runtime.step():
             pass
@@ -77,7 +81,7 @@ class TestBitIdenticalRecovery:
 
 class TestRestoreDetails:
     def test_journal_tail_replayed(self, tmp_path):
-        crash_at(ServeRuntime(serve_config()), tmp_path, kill_at=100, every=60)
+        crash_at(serve_runtime(serve_config()), tmp_path, kill_at=100, every=60)
         restored = restore_runtime(tmp_path)
         assert restored.checkpoint.event_index == 60
         assert restored.replayed_events == 40
@@ -87,16 +91,16 @@ class TestRestoreDetails:
     def test_restore_rebuilds_from_directory_alone(self, tmp_path):
         """The manifest embeds the config — no arguments beyond the dir."""
         config = replace(serve_config(), n_sessions=5, seed=9)
-        crash_at(ServeRuntime(config), tmp_path, 50)
+        crash_at(serve_runtime(config), tmp_path, 50)
         restored = restore_runtime(tmp_path)
-        assert restored.runtime.config == config
+        assert restored.runtime.config.serve == config
 
     def test_kill_requires_positive_event(self):
         with pytest.raises(ValueError):
             ProcessKill(at_event=0)
 
     def test_journal_has_write_ahead_record_of_every_event(self, tmp_path):
-        runtime = ServeRuntime(serve_config())
+        runtime = serve_runtime(serve_config())
         crash_at(runtime, tmp_path, kill_at=70)
         records = read_journal(tmp_path / JOURNAL_NAME)
         # The kill fires after applying event 70; the WAL must already
@@ -106,8 +110,8 @@ class TestRestoreDetails:
 
 class TestCorruptionFallback:
     def test_falls_back_past_bit_flipped_checkpoint(self, tmp_path):
-        baseline = fleet_report_bytes(ServeRuntime(serve_config()).run())
-        crash_at(ServeRuntime(serve_config()), tmp_path, kill_at=150, every=60)
+        baseline = fleet_report_bytes(serve_runtime(serve_config()).run())
+        crash_at(serve_runtime(serve_config()), tmp_path, kill_at=150, every=60)
         store = CheckpointStore(tmp_path)
         newest = store.indices()[-1]
         payload = store.payload_path(newest)
@@ -123,8 +127,8 @@ class TestCorruptionFallback:
         assert fleet_report_bytes(runtime.finish()) == baseline
 
     def test_half_written_journal_line_tolerated(self, tmp_path):
-        baseline = fleet_report_bytes(ServeRuntime(serve_config()).run())
-        crash_at(ServeRuntime(serve_config()), tmp_path, kill_at=100, every=60)
+        baseline = fleet_report_bytes(serve_runtime(serve_config()).run())
+        crash_at(serve_runtime(serve_config()), tmp_path, kill_at=100, every=60)
         journal = tmp_path / JOURNAL_NAME
         text = journal.read_text()
         journal.write_text(text[: len(text) - 15])  # tear the last record
@@ -135,7 +139,7 @@ class TestCorruptionFallback:
             restore_runtime(tmp_path)
 
     def test_all_checkpoints_corrupt_raises_with_reasons(self, tmp_path):
-        crash_at(ServeRuntime(serve_config()), tmp_path, kill_at=100, every=60)
+        crash_at(serve_runtime(serve_config()), tmp_path, kill_at=100, every=60)
         store = CheckpointStore(tmp_path)
         for index in store.indices():
             store.payload_path(index).write_bytes(b"garbage")
@@ -144,7 +148,7 @@ class TestCorruptionFallback:
 
     def test_journal_divergence_detected(self, tmp_path):
         """A resealed-but-wrong journal record must fail the replay."""
-        crash_at(ServeRuntime(serve_config()), tmp_path, kill_at=100, every=60)
+        crash_at(serve_runtime(serve_config()), tmp_path, kill_at=100, every=60)
         journal = tmp_path / JOURNAL_NAME
         lines = journal.read_text().splitlines()
         record = json.loads(lines[80])  # inside the replayed tail (> 60)
@@ -164,9 +168,9 @@ class TestOverhead:
     def test_checkpointing_does_not_change_simulated_goodput(self, tmp_path):
         """Durability must be invisible to the simulation: 0% overhead on
         every simulated metric, not just approximately."""
-        plain = ServeRuntime(serve_config()).run()
+        plain = serve_runtime(serve_config()).run()
         checkpointed = run_with_checkpoints(
-            ServeRuntime(serve_config()), tmp_path, every=50
+            serve_runtime(serve_config()), tmp_path, every=50
         )
         assert fleet_report_bytes(checkpointed) == fleet_report_bytes(plain)
         assert checkpointed.predict_goodput_fps == plain.predict_goodput_fps

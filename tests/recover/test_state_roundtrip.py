@@ -8,13 +8,13 @@ import pytest
 
 from repro.faults import default_chaos_scenario
 from repro.faults.breaker import CircuitBreaker
-from repro.faults.runtime import ChaosRuntime
 from repro.recover import canonical_bytes, fleet_report_bytes
 from repro.serve import (
     BatchServiceModel,
     DynamicBatcher,
+    FleetConfig,
+    FleetRuntime,
     ServeConfig,
-    ServeRuntime,
     WorkerPool,
 )
 from repro.serve.request import FrameRequest
@@ -24,6 +24,11 @@ from repro.system.watchdog import TrackingWatchdog
 
 def serve_config() -> ServeConfig:
     return ServeConfig(n_sessions=6, duration_s=0.5, n_workers=2, seed=1)
+
+
+def serve_runtime(config: ServeConfig) -> FleetRuntime:
+    """The one-shard fleet that ``python -m repro serve`` runs."""
+    return FleetRuntime(FleetConfig(serve=config, n_shards=1))
 
 
 def chaos_config():
@@ -110,7 +115,7 @@ class TestComponents:
         assert other.state(0.07) is breaker.state(0.07)
 
     def test_watchdog_roundtrip(self):
-        profile = default_chaos_scenario().profile
+        profile = default_chaos_scenario().faults.profile
         watchdog = TrackingWatchdog(profile)
         for step in range(6):
             watchdog.observe(0.01 * step, error_deg=3.0, confidence=0.4)
@@ -124,15 +129,15 @@ class TestComponents:
 class TestRuntimeSnapshot:
     @pytest.mark.parametrize("snapshot_at", [1, 50, 200])
     def test_serve_snapshot_resumes_bit_identical(self, snapshot_at):
-        baseline = fleet_report_bytes(ServeRuntime(serve_config()).run())
+        baseline = fleet_report_bytes(serve_runtime(serve_config()).run())
 
-        donor = ServeRuntime(serve_config())
+        donor = serve_runtime(serve_config())
         donor.start()
         for _ in range(snapshot_at):
             assert donor.step()
         state = donor.state_dict()
 
-        heir = ServeRuntime(serve_config())
+        heir = serve_runtime(serve_config())
         heir.load_state(state)
         while heir.step():
             pass
@@ -140,33 +145,33 @@ class TestRuntimeSnapshot:
 
     @pytest.mark.parametrize("snapshot_at", [1, 120])
     def test_chaos_snapshot_resumes_bit_identical(self, snapshot_at):
-        baseline = fleet_report_bytes(ChaosRuntime(chaos_config()).run())
+        baseline = fleet_report_bytes(FleetRuntime(chaos_config()).run())
 
-        donor = ChaosRuntime(chaos_config())
+        donor = FleetRuntime(chaos_config())
         donor.start()
         for _ in range(snapshot_at):
             assert donor.step()
         state = donor.state_dict()
 
-        heir = ChaosRuntime(chaos_config())
+        heir = FleetRuntime(chaos_config())
         heir.load_state(state)
         while heir.step():
             pass
         assert fleet_report_bytes(heir.finish()) == baseline
 
     def test_snapshot_is_json_canonicalizable(self):
-        runtime = ChaosRuntime(chaos_config())
+        runtime = FleetRuntime(chaos_config())
         runtime.start()
         for _ in range(40):
             runtime.step()
         canonical_bytes(runtime.state_dict())  # must not raise (no NaN etc.)
 
     def test_snapshot_is_stable_across_roundtrip(self):
-        donor = ServeRuntime(serve_config())
+        donor = serve_runtime(serve_config())
         donor.start()
         for _ in range(80):
             donor.step()
         state = donor.state_dict()
-        heir = ServeRuntime(serve_config())
+        heir = serve_runtime(serve_config())
         heir.load_state(state)
         assert canonical_bytes(heir.state_dict()) == canonical_bytes(state)

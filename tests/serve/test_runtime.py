@@ -7,7 +7,6 @@ from repro.serve import (
     AdmissionPolicy,
     BatchServiceModel,
     ServeConfig,
-    ServeRuntime,
     build_fleet,
     serve_fleet,
 )
@@ -169,4 +168,4 @@ class TestRuntimeValidation:
     def test_fleet_size_mismatch(self):
         fleet = build_fleet(ServeConfig(n_sessions=2, duration_s=0.1))
         with pytest.raises(ValueError, match="fleet"):
-            ServeRuntime(ServeConfig(n_sessions=3, duration_s=0.1), fleet=fleet)
+            serve_fleet(ServeConfig(n_sessions=3, duration_s=0.1), fleet=fleet)

@@ -31,7 +31,8 @@ from repro.recover.errors import CheckpointError
 
 #: Bump when the manifest/payload schema changes incompatibly.  Version 2
 #: is the single-engine format: every checkpoint is a ``"fleet"``.
-CHECKPOINT_FORMAT_VERSION = 2
+#: Version 3 stores the arrival clock's cursors, not undelivered frames.
+CHECKPOINT_FORMAT_VERSION = 3
 
 _MANIFEST_KEYS = frozenset(
     {
@@ -176,7 +177,7 @@ class CheckpointStore:
             raise CheckpointError(
                 f"checkpoint {manifest_path} uses format version {version}, "
                 f"older than the supported {CHECKPOINT_FORMAT_VERSION} — "
-                "it predates the single fleet engine and cannot be restored"
+                "its state layout cannot be restored by this version"
             )
         if manifest["event_index"] != event_index:
             raise CheckpointError(

@@ -8,8 +8,10 @@ step the next event is the earliest of
 * the fleet's own **control heap** — shard kills from the chaos schedule,
   planned live migrations, rebalancer ticks — which at equal timestamps
   rank *before* any shard event (control reshapes the topology the data
-  plane then runs on), and
-* each shard's data-plane heap, shards tie-broken by id.
+  plane then runs on),
+* each shard's data-plane heap, shards tie-broken by id, and
+* the **arrival clock** — a cursor per session into its frames, which
+  are a pure function of the config (ranked per :func:`_clock_first`).
 
 Both runs of the same config therefore pop the identical global event
 sequence, and the final :class:`~repro.serve.telemetry.FleetReport` is
@@ -45,7 +47,7 @@ from repro.serve.fleet.config import (
 )
 from repro.serve.fleet.report import FleetLog, FleetSection, NetSection
 from repro.serve.fleet.ring import HashRing
-from repro.serve.fleet.shard import InferenceFn, ShardRuntime
+from repro.serve.fleet.shard import _ARRIVAL, InferenceFn, ShardRuntime
 from repro.serve.fleet.transport import (
     FleetTransport,
     K_NET_DETECT,
@@ -64,6 +66,26 @@ from repro.serve.telemetry import FleetReport, SessionStats, publish_fleet_metri
 # are *negative*, keeping them disjoint too.
 _K_KILL, _K_MIGRATE, _K_REBALANCE = 1, 2, 3
 _SHARD_KIND_STRIDE = 4
+_ROUTER = -1  # arrival-clock owner of every session in net mode
+_CLOCK = object()  # _next_source's marker for the arrival clock
+
+
+def _clock_first(head: tuple, best: "ShardRuntime | None", best_time: float) -> bool:
+    """Does the clock's ``head`` ``(t, owner, epoch, session_id)`` rank
+    before ``best``, the first shard (None: control) event at ``best_time``?
+    At equal ``t`` the router precedes control; a shard's fresh frame
+    follows control, lower-id shards and its own shard's completions and
+    windows, and precedes that shard's re-entered (retried) arrivals.  The
+    epoch is the index of the event that placed the session (0: start),
+    so a moved-in session queues behind the shard's residents."""
+    time_s, owner = head[0], head[1]
+    if time_s != best_time:
+        return time_s < best_time
+    if owner == _ROUTER or best is None:
+        return owner == _ROUTER
+    return best.shard_id > owner or (
+        best.shard_id == owner and best._heap[0][1] == _ARRIVAL
+    )
 
 
 class FleetRuntime:
@@ -103,6 +125,17 @@ class FleetRuntime:
                 f"config says {config.serve.n_sessions}"
             )
         self.sessions = list(sessions)
+        #: Every frame by ``seq``, and per session in frame order (rebuilt
+        #: from the config on restore, never checkpointed).
+        self._requests = fleet_requests(self.sessions, config.serve.deadline_s)
+        self._session_requests = [[] for _ in self.sessions]
+        for request in self._requests:
+            self._session_requests[request.session_id].append(request)
+        #: Arrival clock: per session its next frame's index and epoch; a
+        #: heap of ``(t, owner, epoch, session_id)`` (see _clock_first).
+        self._cursor = [0] * len(self.sessions)
+        self._epoch = [0] * len(self.sessions)
+        self._arrivals: list[tuple[float, int, int, int]] = []
         self.ring = HashRing(vnodes=config.vnodes, seed=config.ring_seed)
         self.shards: dict[int, ShardRuntime] = {}
         self._next_shard_id = 0
@@ -170,6 +203,7 @@ class FleetRuntime:
             obs=self.obs if static else self.obs.scoped(shard_id),
             failover=self.config.failover,
             inference=self.inference,
+            sample_waits=self.config.rebalancer.enabled,
         )
         if self.config.faults is None:
             return ShardRuntime(shard_id, self.config.serve, **kwargs)
@@ -204,12 +238,8 @@ class FleetRuntime:
         return [self.shards[sid] for sid in sorted(self.shards)
                 if self.shards[sid].alive]
 
-    @property
-    def started(self) -> bool:
-        return self._started
-
     def start(self) -> None:
-        """Place the fleet on the ring, seed every shard's arrivals, and
+        """Place the fleet on the ring, start the arrival clock, and
         enqueue the control schedule (idempotent)."""
         if self._started:
             return
@@ -217,11 +247,6 @@ class FleetRuntime:
         for _ in range(self.config.n_shards):
             self._new_shard([], spawned_at_s=None)
         placement = self.ring.assignment(placement_ids)
-        # One global request stream: seq numbers are unique fleet-wide
-        # (migrated frames carry theirs onto other shards).
-        all_requests = fleet_requests(
-            self.sessions, self.config.serve.deadline_s
-        )
         if self.transport is not None:
             self._net_stats = {
                 s.session_id: SessionStats(s.session_id)
@@ -229,11 +254,10 @@ class FleetRuntime:
             }
         for shard_id in sorted(placement):
             shard = self.shards[shard_id]
-            members = set(placement[shard_id])
             shard.fleet = [self.sessions[sid] for sid in placement[shard_id]]
             if self.transport is not None:
-                # Frames reach shards only over the transport, so the
-                # shard seeds no arrivals and aliases the shared ledger.
+                # Frames reach shards only over the transport; every
+                # shard aliases the shared ledger.
                 shard.stats = self._net_stats
                 shard.stats_shared = True
             else:
@@ -242,15 +266,11 @@ class FleetRuntime:
                 }
             for sid in placement[shard_id]:
                 self._session_shard[sid] = shard_id
+                self._enter_clock(sid)
             if shard.obs.enabled:
                 shard._declare_tracks()
-            shard.start(
-                []
-                if self.transport is not None
-                else [r for r in all_requests if r.session_id in members]
-            )
         if self.transport is not None:
-            self._seed_net_schedule(all_requests)
+            self._seed_net_schedule()
         for kill in sorted(
             self.config.kills, key=lambda k: (k.at_s, k.shard_id)
         ):
@@ -267,9 +287,9 @@ class FleetRuntime:
             self._push_control(tick, _K_REBALANCE, None)
         self._started = True
 
-    def _seed_net_schedule(self, all_requests) -> None:
-        """Enqueue the whole net-mode schedule: every frame's SEND at
-        its arrival, heartbeat ticks per initial shard, detector ticks.
+    def _seed_net_schedule(self) -> None:
+        """Enqueue the net-mode control schedule: heartbeat ticks per
+        initial shard and detector ticks.
 
         Heartbeats and detector evaluations run for the traffic window
         (``duration_s``) only: the detector is live exactly while frames
@@ -278,8 +298,6 @@ class FleetRuntime:
         """
         net = self.config.net
         duration = self.config.serve.duration_s
-        for request in all_requests:
-            self._push_control(request.arrival_s, K_NET_SEND, request.to_dict())
         for shard_id in sorted(self.shards):
             self.transport.register_shard(shard_id)
             tick = 0
@@ -294,11 +312,30 @@ class FleetRuntime:
             tick += 1
 
     # ------------------------------------------------------------------
+    # Arrival clock
+    # ------------------------------------------------------------------
+    def _enter_clock(self, sid: int) -> None:
+        """Put session ``sid``'s next frame, if any, on the clock."""
+        requests, cursor = self._session_requests[sid], self._cursor[sid]
+        if cursor < len(requests):
+            owner = _ROUTER if self.transport is not None else self._session_shard[sid]
+            entry = (requests[cursor].arrival_s, owner, self._epoch[sid], sid)
+            heapq.heappush(self._arrivals, entry)
+
+    def _admit(self, target: ShardRuntime, payload, now: float, rehomed: bool) -> None:
+        """Install a moved session on ``target``; its clock follows, re-epoched."""
+        target.admit_migrated(payload, now, rehomed=rehomed)
+        sid = payload.session.session_id
+        self._session_shard[sid] = target.shard_id
+        self._epoch[sid] = self.events_processed + 1
+        self._enter_clock(sid)
+
+    # ------------------------------------------------------------------
     # Merged event order
     # ------------------------------------------------------------------
-    def _next_source(self) -> "tuple[ShardRuntime | None, float] | None":
-        """``(shard, time_s)`` of the globally next event — ``shard`` is
-        None for a control event; None when everything is drained.
+    def _next_source(self) -> "tuple[object, float] | None":
+        """``(source, time_s)`` of the globally next event — ``source`` is
+        None (control), ``_CLOCK`` or a shard; None when all is drained.
 
         Control events precede shard events at the same instant; shards
         tie-break by id.  ``self.shards`` iterates in ascending id order
@@ -310,6 +347,13 @@ class FleetRuntime:
             heap = shard._heap
             if heap and (best_time is None or heap[0][0] < best_time):
                 best, best_time = shard, heap[0][0]
+        arrivals = self._arrivals
+        while arrivals and arrivals[0][2] != self._epoch[arrivals[0][3]]:
+            heapq.heappop(arrivals)  # superseded by a later admission
+        if arrivals and (
+            best_time is None or _clock_first(arrivals[0], best, best_time)
+        ):
+            return _CLOCK, arrivals[0][0]
         return None if best_time is None else (best, best_time)
 
     def peek_event(self) -> "tuple[float, int, int] | None":
@@ -317,20 +361,34 @@ class FleetRuntime:
         head = self._next_source()
         if head is None:
             return None
-        shard = head[0]
-        if shard is None:
+        source = head[0]
+        if source is None:
             time_s, seq, kind, _ = self._control[0]
             return (time_s, kind, seq)
-        time_s, kind, seq = shard.peek_event()
-        return (time_s, (shard.shard_id + 1) * _SHARD_KIND_STRIDE + kind, seq)
+        if source is _CLOCK:
+            time_s, owner, _, sid = self._arrivals[0]
+            seq = self._session_requests[sid][self._cursor[sid]].seq
+            kind = (owner + 1) * _SHARD_KIND_STRIDE + _ARRIVAL
+            return (time_s, K_NET_SEND if owner == _ROUTER else kind, seq)
+        time_s, kind, seq, _ = source._heap[0]
+        return (time_s, (source.shard_id + 1) * _SHARD_KIND_STRIDE + kind, seq)
 
     def step(self) -> bool:
         """Apply the globally next event; False once everything drained."""
         head = self._next_source()
         if head is None:
             return False
-        shard, now_s = head
-        if shard is None:
+        source, now_s = head
+        if source is _CLOCK:
+            _, owner, _, sid = heapq.heappop(self._arrivals)
+            request = self._session_requests[sid][self._cursor[sid]]
+            self._cursor[sid] += 1
+            self._enter_clock(sid)
+            if owner == _ROUTER:
+                self.transport.handle(self, K_NET_SEND, request.seq, now_s)
+            else:
+                self.shards[owner]._on_arrival(request, now_s)
+        elif source is None:
             _, _, kind, payload = heapq.heappop(self._control)
             if kind < 0:
                 self.transport.handle(self, kind, payload, now_s)
@@ -341,7 +399,7 @@ class FleetRuntime:
             else:
                 self._apply_rebalance(now_s)
         else:
-            shard.step()
+            source.step()
         self.events_processed += 1
         if self.slo is not None:
             self.slo.maybe_evaluate(now_s)
@@ -368,11 +426,8 @@ class FleetRuntime:
         payloads, lost = shard.kill(now)
         rehomed = 0
         for sid in sorted(payloads):
-            target_id = self.ring.route(sid)
-            self.shards[target_id].admit_migrated(
-                payloads[sid], now, rehomed=True
-            )
-            self._session_shard[sid] = target_id
+            target = self.shards[self.ring.route(sid)]
+            self._admit(target, payloads[sid], now, rehomed=True)
             rehomed += 1
         self.log.record_failover(now, shard_id, rehomed, lost)
         if self.obs.enabled:
@@ -515,12 +570,13 @@ class FleetRuntime:
                 "net_heal_bounce_sessions_total"
             ).inc(bounced)
 
-    def _net_exhaust(self, frame: dict, now: float) -> None:
+    def _net_exhaust(self, seq: int, now: float) -> None:
         """Retries exhausted on an unapplied frame: resolve it at the
         router per policy — degrade to the buffered gaze (the client-side
         fallback) or account it lost."""
         transport = self.transport
-        stats = self._net_stats[int(frame["session_id"])]
+        request = self._requests[seq]
+        stats = self._net_stats[request.session_id]
         if self.config.net.on_exhaust == "degrade":
             stats.record_degraded(
                 self.config.serve.reuse_bypass_s,
@@ -538,8 +594,8 @@ class FleetRuntime:
             self.obs.tracer.instant(
                 "net.exhaust", now, cat="net", pid=PID_NET,
                 args={
-                    "seq": int(frame["seq"]),
-                    "session": int(frame["session_id"]),
+                    "seq": seq,
+                    "session": request.session_id,
                     "policy": self.config.net.on_exhaust,
                 },
             )
@@ -566,8 +622,7 @@ class FleetRuntime:
             self.log.migrations_skipped += 1
             return
         moved = source.extract_session(session_id, now)
-        target.admit_migrated(moved, now, rehomed=False)
-        self._session_shard[session_id] = target_id
+        self._admit(target, moved, now, rehomed=False)
         self.log.record_migration(
             now, session_id, source_id, target_id, len(moved.requeue)
         )
@@ -588,8 +643,7 @@ class FleetRuntime:
     ) -> None:
         for sid in session_ids:
             moved = source.extract_session(sid, now)
-            target.admit_migrated(moved, now, rehomed=False)
-            self._session_shard[sid] = target.shard_id
+            self._admit(target, moved, now, rehomed=False)
             self.log.record_migration(
                 now, sid, source.shard_id, target.shard_id,
                 len(moved.requeue), reason="rebalance",
@@ -618,7 +672,6 @@ class FleetRuntime:
             if n_move == 0:
                 return
             target = self._new_shard([], spawned_at_s=now)
-            target.start()
             victims = sorted(s.session_id for s in hottest.fleet)[:n_move]
             self._move_sessions(hottest, target, victims, now)
             self.log.rebalance_spawns += 1
@@ -807,10 +860,13 @@ class FleetRuntime:
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
         """Full JSON-safe snapshot: the control heap in raw order, the
-        ring, the session→shard map, and every shard's own snapshot."""
+        arrival clock's cursors and epochs (never its frames), the ring,
+        the session→shard map, and every shard's own snapshot."""
         return {
             "started": self._started,
             "events_processed": self.events_processed,
+            "cursor": list(self._cursor),
+            "epoch": list(self._epoch),
             "control": [
                 [time_s, seq, kind, payload]
                 for time_s, seq, kind, payload in self._control
@@ -866,6 +922,11 @@ class FleetRuntime:
             int(sid): int(shard) for sid, shard in state["session_shard"]
         }
         self._rebalance_quiet_until = float(state["rebalance_quiet_until_s"])
+        self._cursor = [int(c) for c in state["cursor"]]
+        self._epoch = [int(e) for e in state["epoch"]]
+        if self._started:
+            for sid in range(len(self.sessions)):
+                self._enter_clock(sid)
         self.log = FleetLog()
         self.log.load_state(state["log"])
         self.shards = {}

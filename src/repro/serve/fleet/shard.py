@@ -9,9 +9,11 @@ then kind, then insertion sequence):
   free the worker, and greedily re-dispatch.
 * ``WINDOW`` — a batch-formation window expired; dispatch a partial batch
   if a worker is idle.
-* ``ARRIVAL`` — a frame entered the shard.  Saccade/reuse frames bypass
-  the pool entirely (Algorithm 1 serves them on-device); predict frames
-  pass admission control and join the cross-session batcher.
+* ``ARRIVAL`` — a frame entered the shard (fresh ones come from the
+  fleet's arrival clock; the heap holds only retries and retransmits).
+  Saccade/reuse frames bypass the pool entirely (Algorithm 1 serves
+  them on-device); predict frames pass admission control and join the
+  cross-session batcher.
 
 Admission control estimates the wait a new predict frame would see —
 ``ceil((pending + 1) / max_batch) * service(max_batch) / workers`` —
@@ -23,15 +25,14 @@ merges every shard's heap into one global event order and drives the
 three fleet-lifecycle operations defined here:
 
 * :meth:`extract_session` — live migration *out*: remove one session's
-  future arrivals from the heap, its queued frames from the batcher, and
-  its in-flight frames from dispatched batches, packaged as a
-  :class:`MigrationPayload`.
-* :meth:`admit_migrated` — live migration *in*: re-seed the arrivals and
-  requeue the carried frames on this shard's batcher.
+  queued frames from the batcher and its in-flight frames from
+  dispatched batches, packaged as a :class:`MigrationPayload`.
+* :meth:`admit_migrated` — live migration *in*: requeue the carried
+  frames on this shard's batcher.
 * :meth:`kill` — chaos failover: frames physically on the shard (queued
   or in flight) die with it and are recorded ``lost_shard`` on their
-  sessions; future arrivals re-home with their sessions, bounding frame
-  loss to exactly the in-flight set at kill time.
+  sessions, bounding frame loss to exactly the in-flight set at kill
+  time.
 
 Sessions re-homed by a failover are *guarded* for a configurable window:
 their predict frames pass through a re-admission
@@ -80,8 +81,6 @@ class MigrationPayload:
 
     session: ClientSession
     stats: SessionStats
-    #: Arrivals not yet delivered, sorted by (arrival_s, seq).
-    arrivals: list[FrameRequest] = field(default_factory=list)
     #: Frames pulled out of the source queue / in-flight batches, to be
     #: requeued on the destination; sorted by (arrival_s, seq).
     requeue: list[FrameRequest] = field(default_factory=list)
@@ -120,6 +119,7 @@ class ShardRuntime:
         obs: "Obs | None" = None,
         failover: "FailoverConfig | None" = None,
         inference: "InferenceFn | None" = None,
+        sample_waits: bool = False,
     ):
         # ``template`` sizes the per-shard pool/batcher; its n_sessions
         # refers to the whole fleet, this shard holds a (possibly empty)
@@ -149,10 +149,6 @@ class ShardRuntime:
         self._heap: list[tuple[float, int, int, object]] = []
         self._event_seq = 0
         self._makespan_s = 0.0
-        #: Events this shard applied (the fleet keys checkpoints on its
-        #: own merged count).
-        self.events_processed = 0
-        self._started = False
         # Observability is read-only over the simulation: spans carry
         # sim-clock timestamps the event loop already computed, so a
         # traced run is bit-identical to an untraced one.
@@ -171,7 +167,8 @@ class ShardRuntime:
         #: that (re-homed) session's predict frames is breaker-guarded.
         self._rehome_guard_until: dict[int, float] = {}
         #: Queue waits of frames dispatched since the last rebalancer
-        #: tick (the rebalancer's P95 window).
+        #: tick (the rebalancer's P95 window; kept only if one runs).
+        self._sample_waits = sample_waits
         self._wait_samples: list[float] = []
         self.spawned_at_s: "float | None" = None
         self.killed_at_s: "float | None" = None
@@ -380,8 +377,9 @@ class ShardRuntime:
     # ------------------------------------------------------------------
     def _note_dispatch(self, batch: list[FrameRequest], now: float) -> None:
         """A batch left the queue: window its waits for the rebalancer."""
-        for request in batch:
-            self._wait_samples.append(now - request.arrival_s)
+        if self._sample_waits:
+            for request in batch:
+                self._wait_samples.append(now - request.arrival_s)
 
     def _run_inference(self, batch: list[FrameRequest]) -> None:
         outputs = np.asarray(self.inference(batch))
@@ -433,32 +431,8 @@ class ShardRuntime:
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
-    def start(self, requests: "list[FrameRequest] | None" = None) -> None:
-        """Seed the given arrivals (idempotent).
-
-        The fleet controller generates ALL frame requests once from the
-        dense session list — global ``seq`` numbers must be unique
-        fleet-wide because migrated frames carry theirs onto other
-        shards — and hands each shard its slice in global arrival
-        order.  A freshly spawned shard starts with none.
-        """
-        if self._started:
-            return
-        for request in requests or []:
-            self._push(request.arrival_s, _ARRIVAL, request)
-        self._started = True
-
-    def peek_event(self) -> "tuple[float, int, int] | None":
-        """``(time_s, kind, seq)`` of the next event, or None when done."""
-        if not self._heap:
-            return None
-        time_s, kind, seq, _ = self._heap[0]
-        return (time_s, kind, seq)
-
-    def step(self) -> bool:
-        """Apply the next event; False once the heap is empty."""
-        if not self._heap:
-            return False
+    def step(self) -> None:
+        """Apply the next heap event (the fleet's globally next one)."""
         now, kind, _, payload = heapq.heappop(self._heap)
         if kind == _ARRIVAL:
             self._on_arrival(payload, now)  # type: ignore[arg-type]
@@ -466,8 +440,6 @@ class ShardRuntime:
             self._on_complete(payload, now)
         else:  # _WINDOW
             self._try_dispatch(now)
-        self.events_processed += 1
-        return True
 
     def fault_report(self):
         """Fault telemetry for the report (None outside chaos runs)."""
@@ -490,20 +462,6 @@ class ShardRuntime:
     # ------------------------------------------------------------------
     # Heap surgery (shared by migration and failover)
     # ------------------------------------------------------------------
-    def _extract_future_arrivals(self, session_id: int) -> list[FrameRequest]:
-        keep, extracted = [], []
-        for entry in self._heap:
-            _, kind, _, payload = entry
-            if kind == _ARRIVAL and payload.session_id == session_id:
-                extracted.append(payload)
-            else:
-                keep.append(entry)
-        if extracted:
-            self._heap = keep
-            heapq.heapify(self._heap)
-            extracted.sort(key=_frame_order)
-        return extracted
-
     def _extract_inflight(self, session_id: int) -> list[FrameRequest]:
         """Pull one session's frames out of dispatched batches.
 
@@ -535,7 +493,6 @@ class ShardRuntime:
             raise KeyError(f"session {session_id} not on shard {self.shard_id}")
         self.fleet = [s for s in self.fleet if s.session_id != session_id]
         stats = self.stats.pop(session_id)
-        arrivals = self._extract_future_arrivals(session_id)
         requeue = self.batcher.extract_session(session_id)
         requeue.extend(self._extract_inflight(session_id))
         requeue.sort(key=_frame_order)
@@ -547,13 +504,13 @@ class ShardRuntime:
                 pid=session_pid(session_id),
                 args={"moved_frames": len(requeue)},
             )
-        return MigrationPayload(session, stats, arrivals, requeue)
+        return MigrationPayload(session, stats, requeue)
 
     def admit_migrated(
         self, payload: MigrationPayload, now: float, rehomed: bool = False
     ) -> None:
-        """Install a migrated session: arrivals re-seeded, carried frames
-        requeued ahead of the window rule (their arrival times are old)."""
+        """Install a migrated session: carried frames requeued ahead of
+        the window rule (their arrival times are old)."""
         session_id = payload.session.session_id
         if session_id in self.stats:
             raise ValueError(
@@ -572,8 +529,6 @@ class ShardRuntime:
                 pid=session_pid(session_id),
                 args={"moved_frames": len(payload.requeue)},
             )
-        for request in payload.arrivals:
-            self._push(request.arrival_s, _ARRIVAL, request)
         if rehomed:
             self.rehomed_in += 1
             if self.failover.guard_s > 0:
@@ -587,48 +542,38 @@ class ShardRuntime:
             self._try_dispatch(now)
             self._arm_window()
 
-    def _fail(self, now: float) -> "dict[int, list[FrameRequest]]":
+    def _fail(self, now: float) -> None:
         """Kill the shard's data plane: queued + in-flight frames are
         recorded ``lost_shard`` (the batcher's conservation ledger stays
-        closed), the heap is cleared.  Returns the future arrivals it
-        held, by session id."""
+        closed), the heap is cleared."""
         if self.killed_at_s is not None:
             raise RuntimeError(f"shard {self.shard_id} already killed")
         lost = 0
         for request in self.batcher.drain():
             self.stats[request.session_id].record_lost_shard()
             lost += 1
-        arrivals_by_sid: dict[int, list[FrameRequest]] = {}
         for _, kind, _, payload in self._heap:
             if kind == _COMPLETE:
                 for request in payload[1]:
                     self.stats[request.session_id].record_lost_shard()
                     lost += 1
-            elif kind == _ARRIVAL:
-                arrivals_by_sid.setdefault(payload.session_id, []).append(
-                    payload
-                )
         self._heap = []
         self.batcher.check_accounting()
         self.lost_frames = lost
         self._rehome_guard_until = {}
         self.killed_at_s = now
-        return arrivals_by_sid
 
     def kill(self, now: float) -> "tuple[dict[int, MigrationPayload], int]":
         """Fail the shard: queued + in-flight frames are lost with it,
-        sessions (with their future arrivals) are packaged for re-homing.
+        sessions are packaged for re-homing.
 
         Returns ``(payloads keyed by session id, frames lost)``.
         """
-        arrivals_by_sid = self._fail(now)
-        payloads: dict[int, MigrationPayload] = {}
-        for session in sorted(self.fleet, key=lambda s: s.session_id):
-            sid = session.session_id
-            arrivals = sorted(arrivals_by_sid.get(sid, []), key=_frame_order)
-            payloads[sid] = MigrationPayload(
-                session, self.stats.pop(sid), arrivals, []
-            )
+        self._fail(now)
+        payloads = {
+            s.session_id: MigrationPayload(s, self.stats.pop(s.session_id))
+            for s in self.fleet
+        }
         self.fleet = []
         if self.obs.enabled:
             self.obs.tracer.instant(
@@ -694,8 +639,6 @@ class ShardRuntime:
                 for (sid, frame), gaze in sorted(self.predictions.items())
             ]
         return {
-            "started": self._started,
-            "events_processed": self.events_processed,
             "event_seq": self._event_seq,
             "makespan_s": self._makespan_s,
             "heap": [
@@ -723,8 +666,6 @@ class ShardRuntime:
     def load_state(self, state: dict) -> None:
         """Restore a :meth:`state_dict` snapshot onto a freshly
         constructed shard of the same config."""
-        self._started = bool(state["started"])
-        self.events_processed = int(state["events_processed"])
         self._event_seq = int(state["event_seq"])
         self._makespan_s = float(state["makespan_s"])
         self.pool.load_state(state["pool"])  # before heap: COMPLETE payloads

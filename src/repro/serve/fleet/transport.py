@@ -32,9 +32,9 @@ round-trips through ``state_dict()`` / ``load_state()`` so a checkpoint
 taken mid-partition restores byte-identically.
 
 The transport owns protocol *state and policy*; the
-:class:`~repro.serve.fleet.runtime.FleetRuntime` owns the event heap and
-topology, dispatching the negative control-event kinds below to
-:meth:`FleetTransport.handle`.
+:class:`~repro.serve.fleet.runtime.FleetRuntime` owns the event heap,
+topology and frame table (envelopes carry a frame's ``seq``), dispatching
+the negative control-event kinds below to :meth:`FleetTransport.handle`.
 """
 
 from __future__ import annotations
@@ -44,12 +44,11 @@ from dataclasses import dataclass, field
 
 from repro.faults.netfaults import GraySlow, LinkProfile, PartitionWindow
 from repro.obs import NULL_OBS, PID_NET
-from repro.serve.request import FrameRequest
 
 # Net control-event kinds.  Negative so the write-ahead journal encoding
 # stays disjoint from both the classic control kinds (1..3) and the
 # shard-event encoding ((shard_id + 1) * stride + kind >= 4).
-K_NET_SEND = -1        #: a frame enters the router (payload: frame dict)
+K_NET_SEND = -1        #: a frame enters the router (payload: its seq)
 K_NET_DELIVER = -2     #: a data copy reaches its shard
 K_NET_ACK = -3         #: an ack reaches the router
 K_NET_RETRY = -4       #: retransmit timer for one sequence number
@@ -149,8 +148,8 @@ class FleetTransport:
     def __init__(self, config: NetConfig, obs=None):
         self.config = config
         self.obs = obs if obs is not None else NULL_OBS
-        #: seq -> {"frame": dict, "attempt": int} awaiting an ack.
-        self.pending: dict[int, dict] = {}
+        #: seq -> attempt of the envelopes awaiting an ack.
+        self.pending: dict[int, int] = {}
         #: Sequence numbers applied to some shard exactly once.
         self.applied: set[int] = set()
         #: Sequence numbers the router gave up on (degraded/lost).
@@ -236,15 +235,14 @@ class FleetTransport:
         else:  # pragma: no cover - guarded by the kind<0 dispatch
             raise ValueError(f"unknown net event kind {kind}")
 
-    def _transmit(self, fleet, frame: dict, attempt: int, now: float) -> None:
+    def _transmit(self, fleet, seq: int, attempt: int, now: float) -> None:
         """Send one envelope copy toward the session's *current* shard.
 
         Retransmissions re-resolve the target, which is how in-flight
         frames of a re-homed session reroute to the surviving shard.
         """
-        seq = int(frame["seq"])
-        shard_id = fleet._session_shard[int(frame["session_id"])]
-        self.pending[seq] = {"frame": frame, "attempt": attempt}
+        shard_id = fleet._session_shard[fleet._requests[seq].session_id]
+        self.pending[seq] = attempt
         self.counters["data_sent"] += 1
         timeout = (
             self.config.ack_timeout_s * self.config.backoff_factor**attempt
@@ -259,7 +257,7 @@ class FleetTransport:
             self._count("net_data_dropped_total")
             return
         delay = self._delay(shard_id, now, "delay", shard_id, seq, attempt)
-        envelope = {"frame": frame, "shard": shard_id, "attempt": attempt,
+        envelope = {"seq": seq, "shard": shard_id, "attempt": attempt,
                     "dup": 0}
         fleet._push_control(now + delay, K_NET_DELIVER, envelope)
         if (
@@ -281,8 +279,7 @@ class FleetTransport:
 
     def _on_deliver(self, fleet, payload: dict, now: float) -> None:
         """One data copy reaches its shard: apply exactly once."""
-        frame = payload["frame"]
-        seq = int(frame["seq"])
+        seq = int(payload["seq"])
         shard_id = int(payload["shard"])
         shard = fleet.shards[shard_id]
         if not shard.alive:
@@ -308,7 +305,7 @@ class FleetTransport:
             return
         self.applied.add(seq)
         self.counters["frames_applied"] += 1
-        shard._on_arrival(FrameRequest.from_dict(frame), now)
+        shard._on_arrival(fleet._requests[seq], now)
         self._send_ack(fleet, shard_id, seq, payload, now)
 
     def _send_ack(
@@ -333,10 +330,10 @@ class FleetTransport:
     def _on_retry(self, fleet, payload: dict, now: float) -> None:
         """Retransmit timer: back off and re-send, or give up."""
         seq = int(payload["seq"])
-        entry = self.pending.get(seq)
-        if entry is None:
+        attempt = self.pending.get(seq)
+        if attempt is None:
             return  # acked (or resolved) before the timer fired
-        attempt = int(entry["attempt"]) + 1
+        attempt += 1
         if attempt > self.config.max_retransmits:
             del self.pending[seq]
             if seq in self.applied:
@@ -345,14 +342,14 @@ class FleetTransport:
                 self.counters["ack_lost_gaveup"] += 1
                 return
             self.exhausted.add(seq)
-            fleet._net_exhaust(entry["frame"], now)
+            fleet._net_exhaust(seq, now)
             return
         self.counters["retransmits"] += 1
         self._instant(
             "net.retransmit", now, {"seq": seq, "attempt": attempt}
         )
         self._count("net_retransmits_total")
-        self._transmit(fleet, entry["frame"], attempt, now)
+        self._transmit(fleet, seq, attempt, now)
 
     def _on_heartbeat(self, fleet, payload: dict, now: float) -> None:
         shard_id = int(payload["shard"])
@@ -399,10 +396,7 @@ class FleetTransport:
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
         return {
-            "pending": [
-                [seq, dict(self.pending[seq])]
-                for seq in sorted(self.pending)
-            ],
+            "pending": [[seq, self.pending[seq]] for seq in sorted(self.pending)],
             "applied": sorted(self.applied),
             "exhausted": sorted(self.exhausted),
             "suspected": sorted(self.suspected),
@@ -423,8 +417,7 @@ class FleetTransport:
 
     def load_state(self, state: dict) -> None:
         self.pending = {
-            int(seq): {"frame": dict(e["frame"]), "attempt": int(e["attempt"])}
-            for seq, e in state["pending"]
+            int(seq): int(attempt) for seq, attempt in state["pending"]
         }
         self.applied = {int(s) for s in state["applied"]}
         self.exhausted = {int(s) for s in state["exhausted"]}

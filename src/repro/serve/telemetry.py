@@ -577,8 +577,12 @@ def publish_fleet_metrics(report: FleetReport, metrics: MetricsRegistry) -> None
         )
         lost_net.inc(report.lost_net_frames - lost_net.value)
         for name, value in report.net.summary().items():
-            gauge_name = name if name.startswith("net_") else f"net_{name}"
-            metrics.gauge(gauge_name).set(float(value))
+            name = name if name.startswith("net_") else f"net_{name}"
+            if name.endswith("_total"):  # some are live transport counters
+                counter = metrics.counter(name)
+                counter.inc(value - counter.value)
+            else:
+                metrics.gauge(name).set(float(value))
     if report.faults is not None:
         publish_fault_metrics(report.faults, metrics)
 

@@ -124,16 +124,17 @@ class TestValidation:
         with pytest.raises(CheckpointError, match="upgrade repro"):
             store.load(7)
 
-    def test_version_1_manifest_refused(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_older_manifest_refused(self, tmp_path, version):
         store = CheckpointStore(tmp_path)
         write_one(store)
         manifest = store.manifest_path(7)
         doc = json.loads(manifest.read_bytes())
-        doc["format_version"] = 1
+        doc["format_version"] = version
         manifest.write_text(canonical_json(doc))
         with pytest.raises(
             CheckpointError,
-            match=f"format version 1, older than the supported "
+            match=f"format version {version}, older than the supported "
             f"{CHECKPOINT_FORMAT_VERSION}",
         ):
             store.load(7)

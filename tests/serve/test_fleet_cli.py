@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.recover.codec import config_hash
@@ -109,6 +111,24 @@ class TestCliMain:
         assert "Transport:" in out
         assert "Exactly-once:" in out
         assert "Detector:" in out
+
+    def test_lossy_net_run_with_obs_exports_lintable_metrics(self, tmp_path, capsys):
+        from repro.obs.lint import lint_prometheus
+
+        out = tmp_path / "net-obs"
+        assert main([
+            "--sessions", "8", "--shards", "2", "--duration", "0.2",
+            "--net", "--net-drop", "0.2", "--net-dup", "0.2",
+            "--obs", "--obs-out", str(out),
+        ]) == 0
+        prom = out / "metrics.prom"
+        assert lint_prometheus(prom) == []
+        # The live retransmit counter and the end-of-run summary share
+        # one name; the run must have retransmitted to exercise that.
+        text = prom.read_text()
+        assert "# TYPE net_retransmits_total counter" in text
+        retransmits = re.search(r"^net_retransmits_total (\d+)$", text, re.M)
+        assert retransmits is not None and int(retransmits.group(1)) > 0
 
     def test_partition_flag_alone_enables_the_transport(self, capsys):
         assert main([

@@ -6,6 +6,7 @@ import pytest
 
 from repro.faults.injectors import ShardKill
 from repro.recover import fleet_report_bytes
+from repro.recover.codec import canonical_json
 from repro.serve import ServeConfig
 from repro.serve.fleet import FleetConfig, FleetRuntime, run_fleet
 
@@ -113,6 +114,33 @@ class TestSnapshotRoundtrip:
         while clone.step():
             pass
         assert fleet_report_bytes(clone.finish()) == fleet_report_bytes(reference)
+
+    def test_start_snapshot_does_not_grow_with_duration(self):
+        # Undelivered frames are rebuilt from the config, not stored.
+        sizes = []
+        for duration_s in (0.5, 2.0):
+            runtime = FleetRuntime(
+                fleet_config(
+                    serve=ServeConfig(
+                        n_sessions=16, duration_s=duration_s, n_workers=1, seed=0
+                    ),
+                    n_shards=2,
+                )
+            )
+            runtime.start()
+            sizes.append(len(canonical_json(runtime.state_dict())))
+        assert sizes[0] == sizes[1]
+
+    def test_no_wait_samples_without_a_rebalancer(self):
+        runtime = FleetRuntime(fleet_config(n_shards=2))
+        runtime.start()
+        while runtime.step():
+            pass
+        assert all(
+            shard.pool.batch_occupancy for shard in runtime.shards.values()
+        )
+        for entry in runtime.state_dict()["shards"]:
+            assert entry["state"]["wait_samples"] == []
 
     def test_snapshot_is_json_serializable(self):
         # The checkpoint store persists this dict as canonical JSON;

@@ -15,6 +15,7 @@ import pytest
 
 from repro.faults import FaultsConfig, ShardKill, default_chaos_scenario
 from repro.faults.cli import config_from_params
+from repro.faults.netfaults import LinkProfile, PartitionWindow
 from repro.recover.codec import canonical_json
 from repro.serve import (
     AdmissionPolicy,
@@ -98,6 +99,67 @@ class TestGoldenDigests:
         assert degrade.degrade_rate > 0 and shed.shed_rate > 0
         report = serve_fleet(ServeConfig(**BASE), inference=fake_inference)
         assert len(report.predictions) > 0
+
+
+def full_digest(report) -> str:
+    return hashlib.sha256(
+        canonical_json(fleet_report_state(report)).encode()
+    ).hexdigest()
+
+
+MULTI_SHARD_SERVE = ServeConfig(**{**BASE, "n_sessions": 24})
+
+#: Multi-shard runs, pinned (whole report state) before fresh arrivals
+#: left the shard heaps: they fix where a moved-in session's frames
+#: queue on its new shard, and where the router's sends rank.
+MULTI_SHARD_GOLDEN = {
+    "kill_migrate_rebalance": (
+        FleetConfig(
+            serve=MULTI_SHARD_SERVE,
+            n_shards=3,
+            kills=(ShardKill(shard_id=1, at_s=0.2),),
+            migration_rate_hz=20.0,
+            rebalancer=RebalancerConfig(
+                interval_s=0.05, p95_high_s=3e-3, p95_low_s=2.9e-3,
+                cooldown_s=0.05,
+            ),
+        ),
+        "4ebccbcf7721b96c79a4012e55724b2f5edcc05d79c280470fd41d6f296c7616",
+    ),
+    "net_partition": (
+        FleetConfig(
+            serve=MULTI_SHARD_SERVE,
+            n_shards=3,
+            kills=(ShardKill(shard_id=2, at_s=0.25),),
+            net=NetConfig(
+                enabled=True,
+                seed=1,
+                link=LinkProfile(drop_rate=0.1, dup_rate=0.1, jitter_s=1e-3),
+                ack_timeout_s=4e-3,
+                max_retransmits=8,
+                partitions=(
+                    PartitionWindow(start_s=0.1, stop_s=0.2, shard_ids=(1,)),
+                ),
+            ),
+        ),
+        "2840e14448306ca445e19f8ed685e76a77408a4006fa8ac6af139164714ccd7d",
+    ),
+}
+
+
+class TestMultiShardGoldenDigests:
+    @pytest.mark.parametrize("name", sorted(MULTI_SHARD_GOLDEN))
+    def test_report_matches_golden_digest(self, name):
+        config, expected = MULTI_SHARD_GOLDEN[name]
+        assert full_digest(run_fleet(config)) == expected
+
+    def test_golden_runs_exercise_what_they_pin(self):
+        fleet = run_fleet(MULTI_SHARD_GOLDEN["kill_migrate_rebalance"][0]).shards
+        assert fleet.rehomed_sessions > 0 and fleet.log.migrations
+        assert fleet.log.rebalance_spawns > 0 and fleet.log.rebalance_drains > 0
+        net = run_fleet(MULTI_SHARD_GOLDEN["net_partition"][0]).net
+        assert net.counters["retransmits"] > 0
+        assert net.counters["false_suspects"] > 0 and net.counters["heals"] > 0
 
 
 class TestOneShardFleet:

@@ -22,7 +22,6 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from repro.exp.track import _truncate_torn_tail
 from repro.recover.errors import JournalError
 from repro.recover.journal import JournalWriter, read_journal
 
@@ -63,11 +62,10 @@ def append_bench_record(
 ) -> dict:
     """Append one sealed result record; returns the record written.
 
-    The file is truncated past any torn tail first, so append-mode
-    reopen stays canonical even after a kill mid-append.
+    The writer truncates the file past any torn tail first, so
+    append-mode reopen stays canonical even after a kill mid-append.
     """
     path = Path(path)
-    _truncate_torn_tail(path)
     records = read_bench_history(path)
     record = {
         "i": (records[-1]["i"] + 1) if records else 1,

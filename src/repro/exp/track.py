@@ -32,7 +32,7 @@ from pathlib import Path
 from repro.exp.errors import LedgerError
 from repro.recover.codec import canonical_json, config_hash
 from repro.recover.errors import JournalError
-from repro.recover.journal import JournalWriter, _verify_line, read_journal
+from repro.recover.journal import JournalWriter, read_journal
 
 MANIFEST_NAME = "campaign.json"
 LEDGER_NAME = "runs.jsonl"
@@ -79,32 +79,6 @@ class ArtifactStore:
 # ----------------------------------------------------------------------
 # Runs ledger
 # ----------------------------------------------------------------------
-def _truncate_torn_tail(path: Path) -> None:
-    """Drop a torn final line so append-mode reopen stays canonical.
-
-    ``read_journal`` tolerates the torn tail at *read* time, but a
-    writer reopened in append mode would concatenate the next record
-    onto it — truncate the file to its last verifiable line instead.
-    """
-    if not path.exists():
-        return
-    data = path.read_bytes()
-    lines = data.decode("utf-8").splitlines(keepends=True)
-    if not lines:
-        return
-    last = lines[-1]
-    torn = not last.endswith("\n")
-    if not torn:
-        try:
-            _verify_line(last.rstrip("\n"), path, len(lines))
-        except JournalError:
-            torn = True
-    if torn:
-        keep = len(data) - len(last.encode("utf-8"))
-        with open(path, "r+b") as handle:
-            handle.truncate(keep)
-
-
 def load_records(directory: "str | os.PathLike") -> list[dict]:
     """All verified ledger records, in append (= campaign) order."""
     try:
@@ -212,10 +186,8 @@ def open_ledger(
         tmp = manifest_path.with_name(manifest_path.name + ".tmp")
         tmp.write_text(canonical_json(manifest) + "\n", encoding="utf-8")
         os.replace(tmp, manifest_path)
-    ledger_path = directory / LEDGER_NAME
-    _truncate_torn_tail(ledger_path)
     records = load_records(directory)
-    writer = JournalWriter(ledger_path, resume=True)
+    writer = JournalWriter(directory / LEDGER_NAME, resume=True)
     return Ledger(
         directory=directory,
         manifest=manifest,

@@ -130,7 +130,9 @@ def run_with_checkpoints(
 
     Durability is invisible to the simulation: snapshots and journal
     appends happen *between* events and read sim-state without touching
-    it, so the report is bit-identical to a bare ``runtime.run()``.
+    it, so the report is bit-identical to a bare ``runtime.run()``.  The
+    journal append runs as ``step``'s ``before`` hook, so each event is
+    resolved once.
 
     ``kill`` injects a process death (:class:`SimulatedCrash` escapes
     this function) after exactly ``kill.at_event`` events; the journal
@@ -146,28 +148,26 @@ def run_with_checkpoints(
         # before the first cadence boundary.
         _write_checkpoint(store, runtime, every, instruments, now_s=0.0)
     journal = JournalWriter(Path(directory) / JOURNAL_NAME, resume=_resume)
+    now_s = 0.0
+
+    def write_ahead(time_s: float, kind: int, seq: int) -> None:
+        nonlocal now_s
+        now_s = time_s
+        journal.append_event(runtime.events_processed + 1, time_s, kind, seq)
+        if instruments is not None:
+            instruments.journal_records.inc()
+
     try:
-        while True:
-            head = runtime.peek_event()
-            if head is None:
-                break
-            time_s, kind, seq = head
-            journal.append(
-                {"i": runtime.events_processed + 1, "t": time_s, "k": kind,
-                 "seq": seq}
-            )
-            if instruments is not None:
-                instruments.journal_records.inc()
-            runtime.step()
-            if kill is not None and kill.fires_at(runtime.events_processed):
+        while runtime.step(write_ahead):
+            done = runtime.events_processed
+            if kill is not None and kill.fires_at(done):
                 journal.sync()
                 raise SimulatedCrash(
-                    f"process killed at event {runtime.events_processed} "
-                    f"(t={time_s:.6f}s)"
+                    f"process killed at event {done} (t={now_s:.6f}s)"
                 )
-            if runtime.events_processed % every == 0:
+            if done % every == 0:
                 journal.sync()
-                _write_checkpoint(store, runtime, every, instruments, now_s=time_s)
+                _write_checkpoint(store, runtime, every, instruments, now_s=now_s)
     finally:
         journal.close()
     return runtime.finish()
@@ -232,15 +232,10 @@ def restore_runtime(
     instruments = _instruments(runtime.obs)
 
     tail = read_journal(directory / JOURNAL_NAME, after_index=checkpoint.event_index)
-    for record in tail:
-        head = runtime.peek_event()
-        if head is None:
-            raise RecoveryError(
-                f"journal records event {record['i']} but the restored run "
-                "has no events left — snapshot and journal disagree"
-            )
-        time_s, kind, seq = head
+
+    def cross_check(time_s: float, kind: int, seq: int) -> None:
         expected_index = runtime.events_processed + 1
+        record = tail[expected_index - checkpoint.event_index - 1]
         if (
             record["i"] != expected_index
             or record["t"] != time_s
@@ -253,7 +248,13 @@ def restore_runtime(
                 f"seq={record['seq']}), the restored loop regenerated "
                 f"(i={expected_index}, t={time_s!r}, k={kind}, seq={seq})"
             )
-        runtime.step()
+
+    for record in tail:
+        if not runtime.step(cross_check):
+            raise RecoveryError(
+                f"journal records event {record['i']} but the restored run "
+                "has no events left — snapshot and journal disagree"
+            )
     if instruments is not None:
         instruments.restores.inc()
         instruments.replayed.inc(len(tail))

@@ -37,6 +37,7 @@ block (``FleetConfig.faults``) runs its one shard as the fault-aware
 from __future__ import annotations
 
 import heapq
+from typing import Callable
 
 from repro.obs import NULL_OBS, Obs, PID_FLEET, PID_NET
 from repro.serve.config import BatchServiceModel, ServeConfig
@@ -359,9 +360,10 @@ class FleetRuntime:
     def peek_event(self) -> "tuple[float, int, int] | None":
         """``(time_s, kind, seq)`` of the next event for the journal."""
         head = self._next_source()
-        if head is None:
-            return None
-        source = head[0]
+        return None if head is None else self._event_key(head[0])
+
+    def _event_key(self, source) -> "tuple[float, int, int]":
+        """``(time_s, kind, seq)`` of the next event, from ``source``."""
         if source is None:
             time_s, seq, kind, _ = self._control[0]
             return (time_s, kind, seq)
@@ -373,12 +375,21 @@ class FleetRuntime:
         time_s, kind, seq, _ = source._heap[0]
         return (time_s, (source.shard_id + 1) * _SHARD_KIND_STRIDE + kind, seq)
 
-    def step(self) -> bool:
-        """Apply the globally next event; False once everything drained."""
+    def step(
+        self, before: "Callable[[float, int, int], None] | None" = None
+    ) -> bool:
+        """Apply the globally next event; False once everything drained.
+
+        ``before(time_s, kind, seq)`` (the :meth:`peek_event` triple) runs
+        once the event is resolved and before it is applied: the
+        write-ahead journal append, or restore's replay cross-check.
+        """
         head = self._next_source()
         if head is None:
             return False
         source, now_s = head
+        if before is not None:
+            before(*self._event_key(source))
         if source is _CLOCK:
             _, owner, _, sid = heapq.heappop(self._arrivals)
             request = self._session_requests[sid][self._cursor[sid]]

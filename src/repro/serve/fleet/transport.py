@@ -136,8 +136,9 @@ def _unit(seed: int, *key) -> float:
 
     A pure function of ``(seed, key)`` — the transport carries no RNG
     state, which is what keeps mid-partition checkpoints byte-identical.
+    The hashed token is ``net:<seed>:<key parts joined by ":">``.
     """
-    token = ":".join(str(k) for k in ("net", seed, *key))
+    token = f"net:{seed}:" + ":".join(map(str, key))
     digest = hashlib.sha256(token.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") / 2.0**64
 

@@ -134,6 +134,18 @@ class TestCorruptionFallback:
         journal.write_text(text[: len(text) - 15])  # tear the last record
         assert fleet_report_bytes(resume(tmp_path)) == baseline
 
+    def test_resume_after_torn_tail_keeps_the_journal_readable(self, tmp_path):
+        """Resuming must not append onto the torn bytes: a second restore
+        of the same directory still verifies and reproduces the run."""
+        baseline = fleet_report_bytes(serve_runtime(serve_config()).run())
+        crash_at(serve_runtime(serve_config()), tmp_path, kill_at=100, every=60)
+        journal = tmp_path / JOURNAL_NAME
+        journal.write_bytes(journal.read_bytes()[:-7])
+        assert fleet_report_bytes(resume(tmp_path)) == baseline
+        restored = restore_runtime(tmp_path)
+        assert restored.replayed_events > 0
+        assert fleet_report_bytes(resume(tmp_path)) == baseline
+
     def test_no_valid_checkpoint_raises(self, tmp_path):
         with pytest.raises(RecoveryError, match="no valid checkpoint"):
             restore_runtime(tmp_path)
@@ -174,3 +186,43 @@ class TestOverhead:
         )
         assert fleet_report_bytes(checkpointed) == fleet_report_bytes(plain)
         assert checkpointed.predict_goodput_fps == plain.predict_goodput_fps
+
+
+class TestOneResolutionPerEvent:
+    """The durable loop resolves the merged event order once per event:
+    the journal append and the replay cross-check ride on ``step``."""
+
+    @staticmethod
+    def count_resolutions(monkeypatch) -> list:
+        calls = [0]
+        original = FleetRuntime._next_source
+
+        def counting(self):
+            calls[0] += 1
+            return original(self)
+
+        monkeypatch.setattr(FleetRuntime, "_next_source", counting)
+        return calls
+
+    @pytest.mark.parametrize("make", [
+        lambda: serve_runtime(serve_config()),
+        lambda: FleetRuntime(chaos_config()),
+    ], ids=["serve", "chaos"])
+    def test_checkpointed_run(self, tmp_path, monkeypatch, make):
+        runtime = make()
+        calls = self.count_resolutions(monkeypatch)
+        run_with_checkpoints(runtime, tmp_path, every=60)
+        # One per event, one that finds the order drained, and one in
+        # finish()'s drained check.
+        assert calls[0] == runtime.events_processed + 2
+
+    def test_restore_replay(self, tmp_path, monkeypatch):
+        crash_at(serve_runtime(serve_config()), tmp_path, kill_at=100, every=60)
+        calls = self.count_resolutions(monkeypatch)
+        restored = restore_runtime(tmp_path)
+        assert restored.replayed_events == 40
+        assert calls[0] == restored.replayed_events
+        calls[0] = 0
+        runtime = restored.runtime
+        run_with_checkpoints(runtime, tmp_path, every=60, _resume=True)
+        assert calls[0] == runtime.events_processed - 100 + 2

@@ -11,6 +11,8 @@ duplicate-injection counter, and byte-diff double runs.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.recover import fleet_report_bytes
@@ -25,7 +27,7 @@ from repro.serve.fleet import (
     PartitionWindow,
     run_fleet,
 )
-from repro.serve.fleet.transport import COUNTER_NAMES
+from repro.serve.fleet.transport import COUNTER_NAMES, _unit
 
 
 def net_serve(n_sessions: int = 12, duration_s: float = 0.4) -> ServeConfig:
@@ -176,6 +178,31 @@ class TestDeterminism:
         assert (a["data_dropped"], a["dup_injected"]) != (
             b["data_dropped"], b["dup_injected"]
         )
+
+
+class TestSampler:
+    @staticmethod
+    def reference_unit(seed: int, *key) -> float:
+        """The sampler's original spelling, kept as the oracle."""
+        token = ":".join(str(k) for k in ("net", seed, *key))
+        digest = hashlib.sha256(token.encode("utf-8")).digest()
+        return int.from_bytes(digest[:8], "big") / 2.0**64
+
+    @pytest.mark.parametrize("seed", [0, 4, 123456789])
+    def test_draws_equal_the_reference_formula(self, seed):
+        for purpose in ("drop", "delay", "dup", "dupdelay", "ackdrop", "ackdelay"):
+            for shard_id in (0, 1, 7):
+                for seq in (0, 1, 999, 2**40):
+                    for attempt in (0, 1, 8):
+                        key = (purpose, shard_id, seq, attempt)
+                        assert _unit(seed, *key) == self.reference_unit(seed, *key)
+                        # Ack draws also key on the copy's dup flag.
+                        assert _unit(seed, *key, 1) == self.reference_unit(seed, *key, 1)
+
+    def test_heartbeat_keys_equal_the_reference_formula(self):
+        for purpose in ("hbdrop", "hbdelay"):
+            for tick in (0, 1, 57):
+                assert _unit(4, purpose, 2, tick) == self.reference_unit(4, purpose, 2, tick)
 
 
 class TestExhaustion:
